@@ -28,11 +28,11 @@ export one ``BENCH_<suite>.json`` per suite:
   per-request latency with tracing off, fully traced, and 1%
   head-sampled, plus ``overhead_ratio.*`` scalars gating that the
   instrumentation stays cheap and sampling keeps it near-free;
-* ``sharded_kb`` — scatter-gather retrieval under a concurrent writer:
-  single-shard vs N-shard retrieval latency series with ``p50_speedup`` /
-  ``p95_speedup`` scalars, plus a flat-store equivalence check
-  (``topk_mismatch_errors``) proving sharded top-k returns the same ids
-  as the plain :class:`~repro.knowledge.knowledge_base.KnowledgeBase`.
+* ``kb_contention`` — retrieval latency on one flat
+  :class:`~repro.knowledge.knowledge_base.KnowledgeBase` while a writer
+  thread bulk-ingests entries, plus an equivalence check
+  (``topk_mismatch_errors``) of default and tenant top-k against a
+  brute-force numpy reference.
 
 This module imports :mod:`repro.service` and is therefore *not* re-exported
 from ``repro.bench.__init__`` — the serving layer itself depends on
@@ -58,6 +58,8 @@ from repro.bench.runner import (
     ExperimentStrategy,
     RunResult,
 )
+from repro.knowledge.entry import KnowledgeEntry
+from repro.knowledge.knowledge_base import DEFAULT_TENANT, KnowledgeBase
 from repro.service.server import ExplanationService
 
 #: Harness scales the CLI can build.  ``quick`` mirrors the reduced harness
@@ -588,33 +590,42 @@ class ObsOverheadStrategy(ExperimentStrategy):
         )
 
 
-class ShardedKBStrategy(ExperimentStrategy):
-    """Scatter-gather retrieval vs the single shared lock, under writes.
+#: Tenant the ``kb_contention`` equivalence check writes shadowing and
+#: private entries to.
+_CHECK_TENANT = "bench-tenant"
+
+
+def brute_force_topk(entries: list[KnowledgeEntry], query: np.ndarray, k: int) -> list[str]:
+    """Reference top-k ids: exact cosine distance to every entry, ranked by
+    ``(distance, entry_id)``."""
+    matrix = np.array([entry.embedding for entry in entries], dtype=np.float64)
+    norms = np.linalg.norm(matrix, axis=1) * np.linalg.norm(query)
+    distances = 1.0 - (matrix @ query) / norms
+    ranked = sorted(zip(distances.tolist(), (entry.entry_id for entry in entries)))
+    return [entry_id for _distance, entry_id in ranked[:k]]
+
+
+class KBContentionStrategy(ExperimentStrategy):
+    """Retrieval on one flat :class:`KnowledgeBase` under a bulk writer.
 
     Two phases per run:
 
-    * **Equivalence** (flat stores, no writer): the sharded KB must return
-      the *same ordered top-k ids* as a plain :class:`KnowledgeBase` for
-      every query — any difference increments ``topk_mismatch_errors``,
+    * **Equivalence** (no writer): every query's top-k, in the default
+      view and in a tenant view whose namespace shadows some shared ids and
+      adds private entries, must equal a brute-force numpy reference in
+      ordered ids — any difference increments ``topk_mismatch_errors``,
       which the compare gate holds at exactly zero.
-    * **Contention** (HNSW stores): time the same retrieval workload
-      against the plain single-lock :class:`KnowledgeBase` and an N-shard
-      :class:`ShardedKnowledgeBase` while a writer thread bulk-ingests
-      batches of entries (the expert feedback loop importing corrections).
-      On the plain KB each ``add_many`` holds the one writer-preferring
-      lock for the *entire batch* of expensive HNSW inserts, stalling every
-      retrieval that arrives meanwhile; sharded, the batch write locks one
-      shard per entry in short increments, so retrieval waits for at most
-      an insert or two on the shard it collides with.  ``p50_speedup`` /
-      ``p95_speedup`` (single-shard latency over sharded latency) are the
-      gated scalars; the acceptance bar is p95 ≥ 2×.
+    * **Contention**: time retrieval while a writer thread bulk-ingests
+      batches of entries (the expert feedback loop importing corrections)
+      and removes the oldest extras to bound growth.  Each ``add_many``
+      holds the knowledge base's one write lock for its whole batch, so
+      ``retrieve_seconds`` is what a reader pays for that lock.
     """
 
-    name = "sharded_kb"
+    name = "kb_contention"
 
     def __init__(
         self,
-        num_shards: int = 4,
         entry_pool: int = 480,
         queries: int = 24,
         timed_retrievals: int = 100,
@@ -622,8 +633,8 @@ class ShardedKBStrategy(ExperimentStrategy):
         writer_batch: int = 48,
         writer_pause_seconds: float = 0.001,
         max_extra_entries: int = 96,
+        tenant_entries: int = 48,
     ):
-        self.num_shards = num_shards
         self.entry_pool = entry_pool
         self.queries = queries
         self.timed_retrievals = timed_retrievals
@@ -631,11 +642,9 @@ class ShardedKBStrategy(ExperimentStrategy):
         self.writer_batch = writer_batch
         self.writer_pause_seconds = writer_pause_seconds
         self.max_extra_entries = max_extra_entries
+        self.tenant_entries = tenant_entries
 
     def default_config(self) -> ExperimentConfig:
-        # Three runs: the p50 scalar is then a true median, insulating the
-        # gate from one run where the writer happened to miss most of the
-        # timed retrievals.
         return ExperimentConfig(runs=3, warmup_runs=1)
 
     def setup(self, context: ExperimentContext) -> None:
@@ -644,69 +653,54 @@ class ShardedKBStrategy(ExperimentStrategy):
             raise ValueError("harness knowledge base is empty")
         rng = np.random.default_rng(context.harness.seed)
         dim = base[0].embedding.shape[0]
-        entries = []
-        for i in range(self.entry_pool):
-            source = base[i % len(base)]
-            entries.append(
-                dataclasses.replace(
-                    source,
-                    entry_id=f"shardbench-{i}",
-                    embedding=source.embedding + rng.normal(0.0, 0.05, size=dim),
-                )
+
+        def jittered(index: int, entry_id: str, scale: float) -> Any:
+            source = base[index % len(base)]
+            return dataclasses.replace(
+                source,
+                entry_id=entry_id,
+                embedding=source.embedding + rng.normal(0.0, scale, size=dim),
             )
-        context.state["entries"] = entries
+
+        context.state["entries"] = [
+            jittered(i, f"kbbench-{i}", 0.05) for i in range(self.entry_pool)
+        ]
+        # Half the tenant's entries reuse shared ids (shadowing them with a
+        # new embedding); the other half are private to the tenant.
+        context.state["tenant_entries"] = [
+            jittered(i, f"kbbench-{i}" if i % 2 == 0 else f"tenant-{i}", 0.05)
+            for i in range(self.tenant_entries)
+        ]
         context.state["queries"] = [
             base[i % len(base)].embedding + rng.normal(0.0, 0.1, size=dim)
             for i in range(self.queries)
         ]
-        # A dedicated pool the writer thread inserts from (unique ids per
-        # phase so single-shard and sharded phases see identical writes).
+        # The writer thread's jitter comes from its own seeded stream.
         context.state["writer_rng_seed"] = int(rng.integers(0, 2**31))
 
     # ----------------------------------------------------------- equivalence
     def _check_equivalence(self, context: ExperimentContext) -> int:
-        from repro.knowledge.knowledge_base import KnowledgeBase
-        from repro.knowledge.sharding import ShardedKnowledgeBase
-
-        entries = context.state["entries"]
-        plain = KnowledgeBase()
-        plain.add_many(entries)
-        sharded = ShardedKnowledgeBase(self.num_shards)
-        sharded.add_many(entries)
+        shared = context.state["entries"]
+        private = context.state["tenant_entries"]
+        kb = KnowledgeBase()
+        kb.add_many(shared)
+        kb.add_many(private, tenant=_CHECK_TENANT)
+        private_ids = {entry.entry_id for entry in private}
+        tenant_view = private + [entry for entry in shared if entry.entry_id not in private_ids]
         mismatches = 0
-        try:
-            for query in context.state["queries"]:
-                expected = [hit.entry.entry_id for hit in plain.retrieve(query, k=self.k).hits]
-                got = [hit.entry.entry_id for hit in sharded.retrieve(query, k=self.k).hits]
-                if expected != got:
+        for query in context.state["queries"]:
+            for tenant, view in ((DEFAULT_TENANT, shared), (_CHECK_TENANT, tenant_view)):
+                hits = kb.retrieve(query, k=self.k, tenant=tenant).hits
+                if [hit.entry.entry_id for hit in hits] != brute_force_topk(view, query, self.k):
                     mismatches += 1
-        finally:
-            sharded.close()
         return mismatches
 
     # ------------------------------------------------------------ contention
-    def _timed_phase(self, context: ExperimentContext, shards: int, phase: str) -> tuple[list[float], int]:
-        """Retrieval latencies under a bulk-ingesting writer thread.
-
-        ``shards == 1`` drives the plain single-lock
-        :class:`~repro.knowledge.knowledge_base.KnowledgeBase` — the exact
-        baseline the sharded layer replaces; otherwise an N-shard
-        :class:`~repro.knowledge.sharding.ShardedKnowledgeBase`.  Both see
-        the identical write workload: batches of HNSW inserts (the
-        expensive path) with the oldest extras removed to bound growth and
-        keep the tombstone/ef-inflation path exercised under load.
-        """
-        from repro.knowledge.knowledge_base import KnowledgeBase
-        from repro.knowledge.sharding import ShardedKnowledgeBase
-        from repro.knowledge.vector_store import HNSWVectorStore
-
+    def _timed_phase(self, context: ExperimentContext) -> tuple[list[float], int]:
+        """Retrieval latencies under a bulk-ingesting writer thread."""
         entries = context.state["entries"]
         queries = context.state["queries"]
-        factory = lambda: HNSWVectorStore(M=8, ef_construction=48, ef_search=24)  # noqa: E731
-        if shards == 1:
-            kb: Any = KnowledgeBase(vector_store=factory())
-        else:
-            kb = ShardedKnowledgeBase(shards, store_factory=factory)
+        kb = KnowledgeBase()
         kb.add_many(entries)
         rng = np.random.default_rng(context.state["writer_rng_seed"])
         dim = entries[0].embedding.shape[0]
@@ -724,7 +718,7 @@ class ShardedKBStrategy(ExperimentStrategy):
                     batch.append(
                         dataclasses.replace(
                             source,
-                            entry_id=f"writer-{phase}-{serial}",
+                            entry_id=f"writer-{serial}",
                             embedding=source.embedding + rng.normal(0.0, 0.05, size=dim),
                         )
                     )
@@ -738,11 +732,10 @@ class ShardedKBStrategy(ExperimentStrategy):
                 if self.writer_pause_seconds:
                     time.sleep(self.writer_pause_seconds)
 
-        # Warm the retrieval path (and the sharded fan-out pool) before the
-        # writer starts, so thread spin-up never lands in the timed series.
+        # Warm the retrieval path before the writer starts.
         for _ in range(3):
             kb.retrieve(queries[0], k=self.k)
-        thread = threading.Thread(target=writer, name=f"kb-writer-{phase}", daemon=True)
+        thread = threading.Thread(target=writer, name="kb-writer", daemon=True)
         thread.start()
         latencies: list[float] = []
         try:
@@ -754,38 +747,19 @@ class ShardedKBStrategy(ExperimentStrategy):
         finally:
             stop.set()
             thread.join(timeout=10.0)
-            if shards > 1:
-                kb.close()
         return latencies, writes
-
-    @staticmethod
-    def _quantile(values: list[float], q: float) -> float:
-        ordered = sorted(values)
-        index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-        return ordered[index]
 
     def execute(self, context: ExperimentContext) -> RunResult:
         mismatches = self._check_equivalence(context)
-        single, single_writes = self._timed_phase(context, 1, "single")
-        sharded, sharded_writes = self._timed_phase(context, self.num_shards, "sharded")
-        single_p50 = self._quantile(single, 0.50)
-        single_p95 = self._quantile(single, 0.95)
-        sharded_p50 = self._quantile(sharded, 0.50)
-        sharded_p95 = self._quantile(sharded, 0.95)
+        latencies, writes = self._timed_phase(context)
         return RunResult(
-            metrics={
-                "retrieve_seconds.single_shard": single,
-                "retrieve_seconds.sharded": sharded,
-                "p50_speedup": single_p50 / sharded_p50 if sharded_p50 > 0 else 0.0,
-                "p95_speedup": single_p95 / sharded_p95 if sharded_p95 > 0 else 0.0,
-            },
+            metrics={"retrieve_seconds": latencies},
             counters={
                 "topk_mismatch_errors": mismatches,
-                "equivalence_queries": len(context.state["queries"]),
-                "writer_ops_single_shard": single_writes,
-                "writer_ops_sharded": sharded_writes,
+                "equivalence_queries": 2 * len(context.state["queries"]),
+                "writer_ops": writes,
             },
-            operations=2 * self.timed_retrievals + len(context.state["queries"]),
+            operations=self.timed_retrievals + 2 * len(context.state["queries"]),
         )
 
 
@@ -801,7 +775,7 @@ def build_suites(
         StageBreakdownStrategy(),
         ColdPathStrategy(),
         ObsOverheadStrategy(),
-        ShardedKBStrategy(),
+        KBContentionStrategy(),
     )
     registry = {strategy.name: strategy for strategy in strategies}
     if only is None:

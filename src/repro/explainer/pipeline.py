@@ -26,7 +26,12 @@ from repro.htap.engines.base import EngineKind
 from repro.htap.plan.serialize import plan_to_dict
 from repro.htap.system import HTAPSystem, PlanPair, QueryExecution
 from repro.knowledge.entry import KnowledgeEntry
-from repro.knowledge.knowledge_base import KnowledgeBase, RetrievalResult, RetrievedKnowledge
+from repro.knowledge.knowledge_base import (
+    DEFAULT_TENANT,
+    KnowledgeBase,
+    RetrievalResult,
+    RetrievedKnowledge,
+)
 from repro.llm.client import LLMClient, LLMRequest, LLMResponse
 from repro.llm.prompts import KnowledgeAttachment, PromptBuilder, PromptPayload, QuestionAttachment
 from repro.obs.tracing import get_tracer
@@ -178,18 +183,13 @@ class RagExplainer:
         with get_tracer().span("pipeline.encode", batched=False):
             return self.router.timed_embed(plan_pair)
 
-    def retrieve_stage(self, embedding: np.ndarray, *, tenant: str | None = None) -> RetrievalResult:
-        """Stage 2: top-K knowledge retrieval for an embedding.
-
-        ``tenant`` scopes retrieval to one namespace of a
-        :class:`~repro.knowledge.sharding.ShardedKnowledgeBase`; leave it
-        ``None`` for a plain (un-namespaced) knowledge base.
-        """
+    def retrieve_stage(
+        self, embedding: np.ndarray, *, tenant: str = DEFAULT_TENANT
+    ) -> RetrievalResult:
+        """Stage 2: top-K knowledge retrieval for an embedding, in ``tenant``'s
+        view of the knowledge base (its own entries plus the shared corpus)."""
         with get_tracer().span("pipeline.retrieve", top_k=self.top_k) as span:
-            if tenant is None:
-                retrieval = self.knowledge_base.retrieve(embedding, k=self.top_k)
-            else:
-                retrieval = self.knowledge_base.retrieve(embedding, k=self.top_k, tenant=tenant)
+            retrieval = self.knowledge_base.retrieve(embedding, k=self.top_k, tenant=tenant)
             span.set_attribute("hits", len(retrieval.hits))
             return retrieval
 

@@ -49,7 +49,6 @@ class APCostParameters:
     hash_probe_row_cost: float = 0.12
     aggregate_row_cost: float = 0.15
     sort_row_cost: float = 0.2
-    exchange_row_cost: float = 0.02
 
 
 class TPCostModel:
@@ -151,6 +150,3 @@ class APCostModel:
         if input_rows <= 1:
             return self.parameters.sort_row_cost
         return input_rows * math.log2(input_rows) * self.parameters.sort_row_cost
-
-    def exchange_cost(self, input_rows: float) -> float:
-        return input_rows * self.parameters.exchange_row_cost

@@ -115,9 +115,6 @@ class QueryAnalysis:
     def join_count(self) -> int:
         return len(self.join_edges)
 
-    def edges_for(self, table: str) -> list[JoinEdge]:
-        return [edge for edge in self.join_edges if edge.involves(table)]
-
     def edges_between(self, placed: set[str], table: str) -> list[JoinEdge]:
         """Join edges connecting ``table`` to any already-placed table."""
         return [

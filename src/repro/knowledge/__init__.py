@@ -1,14 +1,13 @@
-"""RAG knowledge base: entries, vector stores, and curation policies."""
+"""RAG knowledge base: entries, vector stores, and curation policies.
+
+:class:`KnowledgeBase` is the one knowledge-base type.  Tenants are
+namespaces inside it; the default namespace (:data:`DEFAULT_TENANT`) is
+the shared corpus that every tenant's retrieval also searches.
+"""
 
 from repro.knowledge.entry import KnowledgeEntry
 from repro.knowledge.vector_store import FlatVectorStore, HNSWVectorStore, SearchResult, VectorStore
-from repro.knowledge.knowledge_base import KnowledgeBase, RetrievedKnowledge
-from repro.knowledge.sharding import (
-    DEFAULT_TENANT,
-    ConsistentHashRing,
-    RebalanceReport,
-    ShardedKnowledgeBase,
-)
+from repro.knowledge.knowledge_base import DEFAULT_TENANT, KnowledgeBase, RetrievedKnowledge
 from repro.knowledge.curation import (
     expire_stale_entries,
     select_representative_queries,
@@ -23,9 +22,6 @@ __all__ = [
     "KnowledgeBase",
     "RetrievedKnowledge",
     "DEFAULT_TENANT",
-    "ConsistentHashRing",
-    "RebalanceReport",
-    "ShardedKnowledgeBase",
     "select_representative_queries",
     "expire_stale_entries",
 ]

@@ -8,24 +8,34 @@ existing ones at any time (the paper's feedback loop).
 
 The backing vector index is pluggable (flat or HNSW) so the KB-scaling
 ablation can compare both.
+
+Tenancy is a namespace inside the one knowledge base: every read and
+write takes a ``tenant`` (default :data:`DEFAULT_TENANT`), and each
+tenant's entries live in their own dict and vector store.  The default
+namespace is the shared corpus every tenant is grounded on.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from repro.knowledge.entry import KnowledgeEntry
 from repro.knowledge.locking import ReadWriteLock
-from repro.knowledge.vector_store import FlatVectorStore, SearchResult, VectorStore
+from repro.knowledge.vector_store import FlatVectorStore, VectorStore
 from repro.obs.tracing import get_tracer
 
-#: Signature of a knowledge-base write listener: ``(event, entry_id)`` where
-#: ``event`` is one of ``"add"``, ``"remove"``, ``"correct"``.
-WriteListener = Callable[[str, str], None]
+#: Namespace of every operation that names no tenant; it doubles as the
+#: shared corpus.  Folding this tenant into a cache fingerprint is defined
+#: to be a no-op, so single-tenant deployments get byte-identical keys.
+DEFAULT_TENANT = "default"
+
+#: Signature of a knowledge-base write listener: ``(event, entry_id, tenant)``
+#: where ``event`` is one of ``"add"``, ``"remove"``, ``"correct"``.
+WriteListener = Callable[[str, str, str], None]
 
 
 @dataclass
@@ -57,19 +67,39 @@ class RetrievalResult:
         return [hit.entry for hit in self.hits]
 
 
+@dataclass
+class _Namespace:
+    """One tenant's entries and the vector store indexing them."""
+
+    store: VectorStore
+    entries: dict[str, KnowledgeEntry] = field(default_factory=dict)
+
+    def search(self, query: np.ndarray, k: int) -> list[tuple[KnowledgeEntry, float]]:
+        return [
+            (self.entries[result.key], result.distance)
+            for result in self.store.search(query, k)
+            if result.key in self.entries
+        ]
+
+
 class KnowledgeBase:
     """Embedding-keyed store of historical queries and expert explanations.
 
-    Thread safety: all operations take a :class:`ReadWriteLock`, so any
+    Thread safety: all operations take one :class:`ReadWriteLock`, so any
     number of concurrent retrievals proceed in parallel while expert writes
     (add / remove / correct) get exclusive access.  Write listeners — used by
     the serving layer to invalidate its explanation cache — fire *after* the
     write lock is released, so a listener may safely read the knowledge base.
+
+    ``vector_store`` indexes the default namespace; every other tenant gets
+    a private :class:`FlatVectorStore` with the same metric, created on its
+    first write.
     """
 
     def __init__(self, vector_store: VectorStore | None = None):
         self.vector_store = vector_store if vector_store is not None else FlatVectorStore()
-        self._entries: dict[str, KnowledgeEntry] = {}
+        self._shared = _Namespace(self.vector_store)
+        self._namespaces: dict[str, _Namespace] = {DEFAULT_TENANT: self._shared}
         self._insert_counter = 0
         self._lock = ReadWriteLock()
         self._write_listeners: list[WriteListener] = []
@@ -82,105 +112,142 @@ class KnowledgeBase:
     def remove_write_listener(self, listener: WriteListener) -> None:
         self._write_listeners.remove(listener)
 
-    def _notify(self, event: str, entry_id: str) -> None:
+    def _notify(self, event: str, entry_id: str, tenant: str) -> None:
         for listener in list(self._write_listeners):
-            listener(event, entry_id)
+            listener(event, entry_id, tenant)
 
     # ------------------------------------------------------------------ write
-    def _add_unlocked(self, entry: KnowledgeEntry) -> None:
-        if entry.entry_id in self._entries:
+    def _namespace_for_write(self, tenant: str) -> _Namespace:
+        namespace = self._namespaces.get(tenant)
+        if namespace is None:
+            namespace = _Namespace(FlatVectorStore(self.vector_store.metric))
+            self._namespaces[tenant] = namespace
+        return namespace
+
+    def _existing(self, entry_id: str, tenant: str) -> _Namespace:
+        namespace = self._namespaces.get(tenant)
+        if namespace is None or entry_id not in namespace.entries:
+            raise KeyError(f"unknown entry id {entry_id!r} for tenant {tenant!r}")
+        return namespace
+
+    def _add_unlocked(self, entry: KnowledgeEntry, namespace: _Namespace) -> None:
+        if entry.entry_id in namespace.entries:
             raise KeyError(f"duplicate entry id {entry.entry_id!r}")
         self._insert_counter += 1
         entry.inserted_at = self._insert_counter
-        self._entries[entry.entry_id] = entry
-        self.vector_store.add(entry.entry_id, entry.embedding)
+        namespace.entries[entry.entry_id] = entry
+        namespace.store.add(entry.entry_id, entry.embedding)
 
-    def add(self, entry: KnowledgeEntry) -> None:
-        """Insert a new entry (raises on duplicate ids)."""
+    def add(self, entry: KnowledgeEntry, *, tenant: str = DEFAULT_TENANT) -> None:
+        """Insert a new entry (raises on an id already in ``tenant``)."""
         with self._lock.write_locked():
-            self._add_unlocked(entry)
-        self._notify("add", entry.entry_id)
+            self._add_unlocked(entry, self._namespace_for_write(tenant))
+        self._notify("add", entry.entry_id, tenant)
 
-    def add_many(self, entries: list[KnowledgeEntry]) -> None:
+    def add_many(self, entries: list[KnowledgeEntry], *, tenant: str = DEFAULT_TENANT) -> None:
         with self._lock.write_locked():
+            namespace = self._namespace_for_write(tenant)
             for entry in entries:
-                self._add_unlocked(entry)
+                self._add_unlocked(entry, namespace)
         for entry in entries:
-            self._notify("add", entry.entry_id)
+            self._notify("add", entry.entry_id, tenant)
 
-    def remove(self, entry_id: str) -> KnowledgeEntry:
+    def remove(self, entry_id: str, *, tenant: str = DEFAULT_TENANT) -> KnowledgeEntry:
         """Remove an entry (used by the stale-expiry curation policy)."""
         with self._lock.write_locked():
-            if entry_id not in self._entries:
-                raise KeyError(f"unknown entry id {entry_id!r}")
-            self.vector_store.remove(entry_id)
-            removed = self._entries.pop(entry_id)
-        self._notify("remove", entry_id)
+            namespace = self._existing(entry_id, tenant)
+            namespace.store.remove(entry_id)
+            removed = namespace.entries.pop(entry_id)
+        self._notify("remove", entry_id, tenant)
         return removed
 
-    def correct(self, entry_id: str, corrected_explanation: str, factors: tuple[str, ...] | None = None) -> None:
+    def correct(
+        self,
+        entry_id: str,
+        corrected_explanation: str,
+        factors: tuple[str, ...] | None = None,
+        *,
+        tenant: str = DEFAULT_TENANT,
+    ) -> None:
         """Apply an expert correction to an existing entry (paper's feedback loop)."""
         with self._lock.write_locked():
-            try:
-                entry = self._entries[entry_id]
-            except KeyError:
-                raise KeyError(f"unknown entry id {entry_id!r}") from None
+            entry = self._existing(entry_id, tenant).entries[entry_id]
             entry.apply_correction(corrected_explanation, factors)
-        self._notify("correct", entry_id)
+        self._notify("correct", entry_id, tenant)
 
     # ------------------------------------------------------------------- read
-    def get(self, entry_id: str) -> KnowledgeEntry:
+    def get(self, entry_id: str, *, tenant: str = DEFAULT_TENANT) -> KnowledgeEntry:
         with self._lock.read_locked():
-            try:
-                return self._entries[entry_id]
-            except KeyError:
-                raise KeyError(f"unknown entry id {entry_id!r}") from None
+            return self._existing(entry_id, tenant).entries[entry_id]
 
-    def __len__(self) -> int:
+    def contains(self, entry_id: str, *, tenant: str = DEFAULT_TENANT) -> bool:
         with self._lock.read_locked():
-            return len(self._entries)
+            namespace = self._namespaces.get(tenant)
+            return namespace is not None and entry_id in namespace.entries
 
     def __contains__(self, entry_id: str) -> bool:
-        with self._lock.read_locked():
-            return entry_id in self._entries
+        return self.contains(entry_id)
 
-    def entries(self) -> list[KnowledgeEntry]:
+    def count(self, *, tenant: str = DEFAULT_TENANT) -> int:
         with self._lock.read_locked():
-            return list(self._entries.values())
+            namespace = self._namespaces.get(tenant)
+            return 0 if namespace is None else len(namespace.entries)
+
+    def __len__(self) -> int:
+        return self.count()
+
+    def entries(self, *, tenant: str = DEFAULT_TENANT) -> list[KnowledgeEntry]:
+        with self._lock.read_locked():
+            namespace = self._namespaces.get(tenant)
+            return [] if namespace is None else list(namespace.entries.values())
 
     # ---------------------------------------------------------------- retrieve
-    def search_entries(
-        self, embedding: np.ndarray, k: int
-    ) -> tuple[list[tuple[KnowledgeEntry, float]], float]:
-        """Raw top-K ``(entry, distance)`` pairs plus the in-lock search time.
-
-        The locked building block under :meth:`retrieve` — also what a
-        sharded wrapper calls per shard, so each shard search holds only
-        that shard's read lock.
-        """
-        with self._lock.read_locked():
-            start = time.perf_counter()
-            raw: list[SearchResult] = self.vector_store.search(
-                np.asarray(embedding, dtype=np.float64), k
-            )
-            elapsed = time.perf_counter() - start
-            pairs = [
-                (self._entries[result.key], result.distance)
-                for result in raw
-                if result.key in self._entries
-            ]
-        return pairs, elapsed
-
-    def retrieve(self, embedding: np.ndarray, k: int = 2) -> RetrievalResult:
+    def retrieve(
+        self, embedding: np.ndarray, k: int = 2, *, tenant: str = DEFAULT_TENANT
+    ) -> RetrievalResult:
         """Top-K most similar historical plan pairs for ``embedding``.
 
-        ``k=2`` is the paper's default retrieval depth.
+        ``k=2`` is the paper's default retrieval depth.  The default
+        tenant searches the shared corpus alone.  Any other tenant searches
+        its own entries *and* the shared corpus: a tenant entry shadows a
+        shared entry with the same id, and the merged hits rank by
+        ``(distance, entry_id)``.  No tenant ever sees another's entries.
         """
         with get_tracer().span("kb.retrieve", k=k) as span:
-            pairs, elapsed = self.search_entries(embedding, k)
+            with self._lock.read_locked():
+                start = time.perf_counter()
+                query = np.asarray(embedding, dtype=np.float64)
+                if tenant == DEFAULT_TENANT:
+                    pairs = self._shared.search(query, k)
+                else:
+                    span.set_attribute("tenant", tenant)
+                    pairs = self._search_tenant(query, k, tenant)
+                elapsed = time.perf_counter() - start
             hits = [
                 RetrievedKnowledge(entry=entry, distance=distance, rank=rank)
                 for rank, (entry, distance) in enumerate(pairs, start=1)
             ]
             span.set_attribute("hits", len(hits))
             return RetrievalResult(hits=hits, search_seconds=elapsed)
+
+    def _search_tenant(
+        self, query: np.ndarray, k: int, tenant: str
+    ) -> list[tuple[KnowledgeEntry, float]]:
+        """Merged top-K of ``tenant``'s namespace and the shared corpus.
+
+        Caller holds the read lock.  The shared search asks for one extra
+        hit per shadowed id, so shadowing never leaves the merge short.
+        """
+        own = self._namespaces.get(tenant)
+        if own is None:
+            pairs = self._shared.search(query, k)
+        else:
+            shared = self._shared.entries
+            shadowed = sum(1 for entry_id in own.entries if entry_id in shared)
+            pairs = own.search(query, k) + [
+                (entry, distance)
+                for entry, distance in self._shared.search(query, k + shadowed)
+                if entry.entry_id not in own.entries
+            ]
+        pairs.sort(key=lambda pair: (pair[1], pair[0].entry_id))
+        return pairs[:k]

@@ -45,10 +45,6 @@ class RoutingDecision:
     probabilities: tuple[float, float]
     inference_seconds: float
 
-    @property
-    def inference_ms(self) -> float:
-        return self.inference_seconds * 1000.0
-
 
 class SmartRouter:
     """Tree-CNN router and plan-pair encoder."""

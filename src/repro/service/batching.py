@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Generic, TypeVar
 
 import numpy as np
 
-from repro.knowledge.sharding import DEFAULT_TENANT
+from repro.knowledge.knowledge_base import DEFAULT_TENANT
 from repro.obs.tracing import NULL_SPAN, get_tracer
 from repro.service.metrics import MetricsRegistry
 

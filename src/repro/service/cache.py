@@ -22,8 +22,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable
 
+from repro.knowledge.knowledge_base import DEFAULT_TENANT
 from repro.knowledge.quantization import QuantizedVector, quantize_vector
-from repro.knowledge.sharding import DEFAULT_TENANT
 
 _MISSING = object()
 
@@ -282,20 +282,20 @@ class ServiceCache:
         return execution, stored
 
     # ------------------------------------------------------------ invalidation
-    def on_kb_write(self, event: str, entry_id: str, tenant: str | None = None) -> None:
+    def on_kb_write(self, event: str, entry_id: str, tenant: str = DEFAULT_TENANT) -> None:
         """Knowledge changed: cached explanations may cite stale entries.
 
-        With ``tenant`` set only that tenant's explanations drop — tenant
-        namespaces are retrieval-isolated, so tenant A's write cannot make
-        tenant B's cached answers stale.  Without it (a legacy
-        un-namespaced KB write) every tenant's explanations drop.  Plans
-        and embeddings are untouched — they do not depend on the KB.
+        A write to the default namespace (the shared corpus every tenant
+        retrieves from) drops every tenant's explanations; a write to a
+        tenant namespace drops only that tenant's, since no other tenant
+        can retrieve it.  Plans and embeddings are untouched — they do not
+        depend on the KB.
         """
-        if tenant is not None:
-            self.level(tenant).explanations.clear()
-        else:
+        if tenant == DEFAULT_TENANT:
             for levels in self._levels.values():
                 levels.explanations.clear()
+        else:
+            self.level(tenant).explanations.clear()
 
     def on_ddl(self, event: str, index_name: str) -> None:
         """Schema changed: optimizer output (and hence embeddings and
@@ -304,9 +304,6 @@ class ServiceCache:
         for levels in self._levels.values():
             levels.plans.clear()
             levels.explanations.clear()
-
-    def invalidate_all(self) -> None:
-        self.on_ddl("manual", "*")
 
     # ---------------------------------------------------------------- export
     def snapshot(self) -> dict[str, dict[str, float]]:

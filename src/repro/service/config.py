@@ -5,7 +5,7 @@ knob as a keyword argument; that still works (the kwargs override the
 config), but a :class:`ServiceConfig` can now be built once, shared between
 deployments, and extended without touching the service signature.
 
-The knobs group into four concerns:
+The knobs group into six concerns:
 
 * **concurrency** — ``max_workers``, ``max_in_flight``,
   ``default_deadline_seconds``;
@@ -19,13 +19,10 @@ The knobs group into four concerns:
   once concurrent arrivals are observed; a lone request flushes
   immediately);
 * **retrieval** — ``top_k`` entries fetched from the knowledge base;
-* **scale-out** — ``num_shards``: split the knowledge base into N
-  consistent-hashed shards (:mod:`repro.knowledge.sharding`) so a write
-  locks one shard instead of the whole KB; ``tenants``: declarative
-  per-tenant weights and quotas
-  (:class:`~repro.service.tenancy.TenantConfig`) — any ``num_shards > 1``
-  or non-empty ``tenants`` makes the service wrap its knowledge base in a
-  :class:`~repro.knowledge.sharding.ShardedKnowledgeBase`;
+* **tenancy** — ``tenants``: declarative per-tenant weights and quotas
+  (:class:`~repro.service.tenancy.TenantConfig`).  Tenants need no
+  declaration to be served: each request's tenant is a namespace of the
+  one knowledge base, whatever the config says;
 * **observability** — ``admin_port`` / ``admin_host``: when ``admin_port``
   is set (``0`` picks an ephemeral port) the service starts an embedded
   :class:`~repro.obs.server.AdminServer` exposing ``/metrics``,
@@ -45,8 +42,6 @@ class ServiceConfig:
     """Tuning knobs for :class:`~repro.service.server.ExplanationService`."""
 
     top_k: int = 2
-    #: 1 keeps the single-KB fast path; >1 shards the knowledge base.
-    num_shards: int = 1
     #: Declared tenants (weights / quotas).  Undeclared tenants are still
     #: served, with weight 1.0 and no quota.
     tenants: tuple[TenantConfig, ...] = ()

@@ -19,12 +19,12 @@ production-shaped request path:
 * **worker pool + deadlines** — a ``ThreadPoolExecutor`` drives the
   remaining stages; a request whose latency budget expires while queued is
   completed with ``DEADLINE_EXCEEDED`` rather than doing dead work;
-* **sharding + multi-tenancy** — with ``ServiceConfig(num_shards=N)`` or
-  declared ``tenants``, the knowledge base is wrapped in a
-  :class:`~repro.knowledge.sharding.ShardedKnowledgeBase` (scatter-gather
-  retrieval, per-shard locks) and every request carries a ``tenant``
-  namespace: tenant-scoped cache levels and fingerprints, per-tenant
-  quotas (``QUOTA_EXCEEDED`` rejections), and weighted fair batching;
+* **multi-tenancy** — every request carries a ``tenant``: retrieval runs
+  in that tenant's namespace of the one
+  :class:`~repro.knowledge.knowledge_base.KnowledgeBase` (its own entries
+  plus the shared corpus), with tenant-scoped cache levels and
+  fingerprints, per-tenant quotas (``QUOTA_EXCEEDED`` rejections), and
+  weighted fair batching;
 * **telemetry** — counters and p50/p95/p99 latency histograms exported as
   one dict by :meth:`ExplanationService.metrics_snapshot`;
 * **admin plane** — with ``ServiceConfig(admin_port=...)`` the service
@@ -40,13 +40,11 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Sequence
 
 from repro.explainer.pipeline import Explanation, RagExplainer, execution_result_text
 from repro.htap.catalog import Index
 from repro.htap.system import HTAPSystem, QueryExecution
-from repro.knowledge.knowledge_base import KnowledgeBase
-from repro.knowledge.sharding import DEFAULT_TENANT, ShardedKnowledgeBase
+from repro.knowledge.knowledge_base import DEFAULT_TENANT, KnowledgeBase
 from repro.llm.client import LLMClient
 from repro.llm.prompts import PromptBuilder
 from repro.obs.tracing import NULL_SPAN, Span, get_tracer
@@ -82,7 +80,7 @@ class ExplanationService:
         self,
         system: HTAPSystem,
         router: SmartRouter,
-        knowledge_base: KnowledgeBase | ShardedKnowledgeBase,
+        knowledge_base: KnowledgeBase,
         llm: LLMClient,
         *,
         config: ServiceConfig | None = None,
@@ -100,7 +98,6 @@ class ExplanationService:
         quantize_embedding_cache: bool | None = None,
         admin_port: int | None = None,
         admin_host: str | None = None,
-        num_shards: int | None = None,
         tenants: tuple[TenantConfig, ...] | None = None,
     ):
         self.config = (config or ServiceConfig()).with_overrides(
@@ -117,7 +114,6 @@ class ExplanationService:
             quantize_embedding_cache=quantize_embedding_cache,
             admin_port=admin_port,
             admin_host=admin_host,
-            num_shards=num_shards,
             tenants=tenants,
         )
         resolved = self.config
@@ -125,23 +121,8 @@ class ExplanationService:
             raise ValueError("max_workers must be at least 1")
         if resolved.max_in_flight < 1:
             raise ValueError("max_in_flight must be at least 1")
-        if resolved.num_shards < 1:
-            raise ValueError("num_shards must be at least 1")
         self.system = system
         self.router = router
-        # Sharding / tenancy: a plain KnowledgeBase is wrapped in a
-        # ShardedKnowledgeBase (seeding its entries into the default
-        # tenant) whenever the config asks for shards or declares tenants;
-        # a pre-built ShardedKnowledgeBase passes through untouched.
-        if isinstance(knowledge_base, ShardedKnowledgeBase):
-            self._sharded = True
-        elif resolved.num_shards > 1 or resolved.tenants:
-            knowledge_base = ShardedKnowledgeBase.from_knowledge_base(
-                knowledge_base, resolved.num_shards
-            )
-            self._sharded = True
-        else:
-            self._sharded = False
         self.knowledge_base = knowledge_base
         self.tenants = TenantRegistry(resolved.tenants)
         self.llm = llm
@@ -172,12 +153,7 @@ class ExplanationService:
         self._admission_lock = threading.Lock()
         self._closed = False
         # Stale-data hooks: any DDL or knowledge write invalidates caches.
-        # The sharded KB reports the writing tenant, so only that tenant's
-        # explanation cache is dropped; a plain KB write drops all of them.
-        if self._sharded:
-            knowledge_base.add_write_listener(self._on_tenant_kb_write)
-        else:
-            knowledge_base.add_write_listener(self._on_kb_write)
+        knowledge_base.add_write_listener(self._on_kb_write)
         system.add_ddl_listener(self._on_ddl)
         #: Embedded admin HTTP server and SLO tracker (None unless
         #: ``admin_port`` is configured).
@@ -263,16 +239,9 @@ class ExplanationService:
         return HealthReport(checks=tuple(checks))
 
     # ------------------------------------------------------------- invalidation
-    def _on_kb_write(self, event: str, entry_id: str) -> None:
+    def _on_kb_write(self, event: str, entry_id: str, tenant: str) -> None:
         self.metrics.counter("invalidations.kb_write").increment()
-        self.cache.on_kb_write(event, entry_id)
-
-    def _on_tenant_kb_write(self, event: str, entry_id: str, tenant: str) -> None:
-        self.metrics.counter("invalidations.kb_write").increment()
-        # The default namespace is the shared corpus grounding every
-        # tenant's retrieval, so a write to it stales all tenants' cached
-        # explanations; a tenant-namespace write stales only that tenant's.
-        self.cache.on_kb_write(event, entry_id, None if tenant == DEFAULT_TENANT else tenant)
+        self.cache.on_kb_write(event, entry_id, tenant)
 
     def _on_ddl(self, event: str, index_name: str) -> None:
         self.metrics.counter("invalidations.ddl").increment()
@@ -415,11 +384,6 @@ class ExplanationService:
             sql, user_notes=user_notes, deadline_seconds=deadline_seconds, tenant=tenant
         ).result()
 
-    def explain_many(self, sqls: Sequence[str]) -> list[ExplainResult]:
-        """Submit a batch of SQL strings and gather all results."""
-        futures = [self.submit(sql) for sql in sqls]
-        return [future.result() for future in futures]
-
     # ------------------------------------------------------------------ worker
     def _process_guarded(
         self, request: ExplainRequest, cache_key: str, root: "Span" = NULL_SPAN
@@ -453,20 +417,8 @@ class ExplanationService:
         self.metrics.histogram("latency.queue_seconds").record(queue_seconds)
         root.set_attribute("queue_seconds", round(queue_seconds, 6))
         if request.expired(started):
-            self.metrics.counter("requests.deadline_exceeded").increment()
-            self.metrics.counter(
-                f"requests.rejected.{ServiceErrorCode.DEADLINE_EXCEEDED.value}"
-            ).increment()
-            root.set_attributes(
-                status="rejected", rejected_reason=ServiceErrorCode.DEADLINE_EXCEEDED.value
-            )
-            return ExplainResult.failure(
-                request.request_id,
-                ServiceErrorCode.DEADLINE_EXCEEDED,
-                f"deadline of {request.deadline_seconds:.3f}s expired after "
-                f"{queue_seconds:.3f}s in queue",
-                queue_seconds=queue_seconds,
-                total_seconds=queue_seconds,
+            return self._deadline_exceeded(
+                request, root, f"after {queue_seconds:.3f}s in queue", queue_seconds, started
             )
         # A twin request may have populated the explanation cache while this
         # one waited for a worker.
@@ -517,26 +469,11 @@ class ExplanationService:
             plan_cache_hit = True
         root.set_attribute("cache.l2_hit", plan_cache_hit)
 
-        if request.expired():
-            self.metrics.counter("requests.deadline_exceeded").increment()
-            self.metrics.counter(
-                f"requests.rejected.{ServiceErrorCode.DEADLINE_EXCEEDED.value}"
-            ).increment()
-            root.set_attributes(
-                status="rejected", rejected_reason=ServiceErrorCode.DEADLINE_EXCEEDED.value
-            )
-            elapsed = time.perf_counter() - request.submitted_at
-            return ExplainResult.failure(
-                request.request_id,
-                ServiceErrorCode.DEADLINE_EXCEEDED,
-                f"deadline of {request.deadline_seconds:.3f}s expired before generation",
-                queue_seconds=queue_seconds,
-                total_seconds=elapsed,
-            )
+        now = time.perf_counter()
+        if request.expired(now):
+            return self._deadline_exceeded(request, root, "before generation", queue_seconds, now)
 
-        retrieval = self.explainer.retrieve_stage(
-            embedding, tenant=tenant if self._sharded else None
-        )
+        retrieval = self.explainer.retrieve_stage(embedding, tenant=tenant)
         explanation: Explanation = self.explainer.generate_stage(
             execution.plan_pair,
             embedding,
@@ -560,14 +497,29 @@ class ExplanationService:
             total_seconds=total,
         )
 
+    def _deadline_exceeded(
+        self, request: ExplainRequest, root: "Span", when: str, queue_seconds: float, now: float
+    ) -> ExplainResult:
+        """Typed ``DEADLINE_EXCEEDED`` failure for a request whose budget ran
+        out ``when`` (in the queue, or before generation)."""
+        code = ServiceErrorCode.DEADLINE_EXCEEDED
+        self.metrics.counter("requests.deadline_exceeded").increment()
+        self.metrics.counter(f"requests.rejected.{code.value}").increment()
+        root.set_attributes(status="rejected", rejected_reason=code.value)
+        return ExplainResult.failure(
+            request.request_id,
+            code,
+            f"deadline of {request.deadline_seconds:.3f}s expired {when}",
+            queue_seconds=queue_seconds,
+            total_seconds=now - request.submitted_at,
+        )
+
     # --------------------------------------------------------------- telemetry
     def metrics_snapshot(self) -> dict[str, object]:
         """One dict with counters, latency summaries, cache and batch stats."""
         payload = self.metrics.snapshot()
         payload["cache"] = self.cache.snapshot()
         payload["batching"] = self.batcher.stats()
-        if self._sharded:
-            payload["sharding"] = self.knowledge_base.stats()
         with self._admission_lock:
             payload["in_flight"] = self._in_flight
         payload["max_in_flight"] = self.max_in_flight
@@ -584,18 +536,13 @@ class ExplanationService:
         # Unhook the invalidation listeners so a discarded service does not
         # keep receiving callbacks from long-lived system objects.
         try:
-            if self._sharded:
-                self.knowledge_base.remove_write_listener(self._on_tenant_kb_write)
-            else:
-                self.knowledge_base.remove_write_listener(self._on_kb_write)
+            self.knowledge_base.remove_write_listener(self._on_kb_write)
         except ValueError:
             pass
         try:
             self.system.remove_ddl_listener(self._on_ddl)
         except ValueError:
             pass
-        if self._sharded:
-            self.knowledge_base.close()
 
     def __enter__(self) -> "ExplanationService":
         return self

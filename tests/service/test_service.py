@@ -122,6 +122,36 @@ def test_expired_deadline_is_typed_failure(service_stack):
         assert result.error.retryable
 
 
+def test_deadline_expiring_before_generation_is_typed_failure(service_stack):
+    system, router, kb, llm, sqls, _labeled = service_stack
+    run_both = system.run_both
+    generated: list[object] = []
+    llm_generate = llm.generate
+
+    def stalled_run_both(sql):
+        time.sleep(0.3)
+        return run_both(sql)
+
+    def counted_generate(request):
+        generated.append(request)
+        return llm_generate(request)
+
+    system.run_both = stalled_run_both
+    llm.generate = counted_generate
+    with ExplanationService(system, router, kb, llm, max_workers=2) as service:
+        result = service.explain(sqls[0], deadline_seconds=0.2)
+        assert result.status is RequestStatus.FAILED
+        assert result.error.code is ServiceErrorCode.DEADLINE_EXCEEDED
+        assert "expired before generation" in result.error.message
+        assert result.total_seconds >= 0.3 > result.queue_seconds
+        assert not generated  # the expired request never reached the LLM
+        snapshot = service.metrics_snapshot()
+        assert snapshot["requests.deadline_exceeded"] == 1
+        assert snapshot["requests.rejected.deadline_exceeded"] == 1
+        assert snapshot["in_flight"] == 0
+        assert len(service.cache.explanations) == 0  # a failure is never cached
+
+
 def test_generous_deadline_succeeds(service, service_stack):
     _system, _router, _kb, _llm, sqls, _labeled = service_stack
     result = service.explain(sqls[2], deadline_seconds=30.0)

@@ -6,6 +6,7 @@ import queue
 
 import pytest
 
+from repro.explainer.pipeline import RagExplainer, entries_from_labeled, execution_result_text
 from repro.service import ExplanationService
 from repro.service.batching import WeightedFairQueue
 from repro.service.cache import ServiceCache
@@ -16,6 +17,7 @@ from repro.service.tenancy import (
     TenantRegistry,
     TokenBucket,
 )
+from repro.workloads.experts import SimulatedExpert
 
 
 class FakeClock:
@@ -145,7 +147,7 @@ def test_cache_levels_are_isolated_per_tenant():
     assert cache.level("a").explanations.get("key") is None
     assert cache.level("b").explanations.get("key") == "answer-b"
     assert cache.explanations.get("key") == "answer-default"
-    # A legacy un-namespaced KB write clears every tenant's explanations.
+    # A shared-corpus (default-tenant) KB write clears every tenant's explanations.
     cache.on_kb_write("add", "entry-2")
     assert cache.level("b").explanations.get("key") is None
     assert cache.explanations.get("key") is None
@@ -184,7 +186,6 @@ def test_service_quota_rejection_and_tenant_isolation(service_stack):
         llm,
         max_workers=2,
         max_in_flight=32,
-        num_shards=2,
         tenants=(TenantConfig(name="tiny", requests_per_second=0.001, burst=2.0),),
     )
     try:
@@ -205,7 +206,6 @@ def test_service_quota_rejection_and_tenant_isolation(service_stack):
         assert other.ok and not other.cache_hit
 
         snapshot = svc.metrics_snapshot()
-        assert snapshot["sharding"]["num_shards"] == 2
         assert snapshot["requests.tenant.acme"] == 2
         assert snapshot["requests.tenant.tiny"] == 4
         assert "explanations.acme" in snapshot["cache"]
@@ -221,3 +221,47 @@ def test_service_quota_rejection_and_tenant_isolation(service_stack):
         assert recomputed.ok and not recomputed.cache_hit
     finally:
         svc.shutdown()
+
+
+def test_tenant_request_matches_inline_explainer(service_stack):
+    """A served tenant answer equals RagExplainer's over the same KB and
+    tenant: retrieved ids in order, prompt, text and claims."""
+    system, router, kb, llm, sqls, labeled = service_stack
+    private = entries_from_labeled(labeled[12:15], router, SimulatedExpert())
+    shadowed_id = labeled[0].query_id
+    private[2].entry_id = shadowed_id  # shadows a shared entry
+    kb.add_many(private, tenant="acme")
+    private_ids = {entry.entry_id for entry in private[:2]}
+    explainer = RagExplainer(system, router, kb, llm, top_k=2)
+    with ExplanationService(system, router, kb, llm, max_workers=2) as svc:
+        for tenant in (DEFAULT_TENANT, "acme", "zeta"):
+            for sql in sqls[:5]:
+                served = svc.explain(sql, tenant=tenant)
+                assert served.ok and not served.cache_hit
+                got = served.explanation
+                execution = system.run_both(sql)
+                retrieval = explainer.retrieve_stage(got.embedding, tenant=tenant)
+                expected = explainer.generate_stage(
+                    execution.plan_pair,
+                    got.embedding,
+                    retrieval,
+                    execution_result=execution_result_text(execution),
+                    faster_engine=execution.faster_engine,
+                )
+                ids = [hit.entry.entry_id for hit in got.retrieved]
+                assert ids == [hit.entry.entry_id for hit in expected.retrieved]
+                assert got.prompt.text == expected.prompt.text
+                assert got.text == expected.text
+                assert got.claims == expected.claims
+                if tenant != "acme":
+                    assert not private_ids & set(ids)
+                    assert all(hit.entry.sql != labeled[14].sql for hit in got.retrieved)
+        # acme retrieves its private entry built from sqls[0]; its shadowing
+        # entry replaces the shared one of the same id (the shared entry is
+        # among sqls[0]'s nearest, the shadowing entry is not) and grounds
+        # sqls[2], which it was built from.
+        near = svc.explain(sqls[0], tenant="acme").explanation.retrieved
+        assert labeled[12].query_id in {hit.entry.entry_id for hit in near}
+        assert shadowed_id not in {hit.entry.entry_id for hit in near}
+        shadow = svc.explain(sqls[2], tenant="acme").explanation.retrieved[0].entry
+        assert (shadow.entry_id, shadow.sql) == (shadowed_id, labeled[14].sql)
