@@ -590,19 +590,24 @@ class ObsOverheadStrategy(ExperimentStrategy):
         )
 
 
-#: Tenant the ``kb_contention`` equivalence check writes shadowing and
-#: private entries to.
+#: Tenant ``kb_contention`` writes shadowing and private entries to, and
+#: how many: half reuse shared ids, half are private to the tenant.
 _CHECK_TENANT = "bench-tenant"
+_CHECK_TENANT_ENTRIES = 48
 
 
-def brute_force_topk(entries: list[KnowledgeEntry], query: np.ndarray, k: int) -> list[str]:
-    """Reference top-k ids: exact cosine distance to every entry, ranked by
-    ``(distance, entry_id)``."""
+def brute_force_topk(
+    entries: list[KnowledgeEntry], query: np.ndarray, k: int
+) -> list[tuple[str, float]]:
+    """Reference top-k ``(entry_id, distance)``: exact cosine distance to
+    every entry, ranked by ``(distance, entry_id)``."""
+    if not entries:
+        return []
     matrix = np.array([entry.embedding for entry in entries], dtype=np.float64)
     norms = np.linalg.norm(matrix, axis=1) * np.linalg.norm(query)
     distances = 1.0 - (matrix @ query) / norms
     ranked = sorted(zip(distances.tolist(), (entry.entry_id for entry in entries)))
-    return [entry_id for _distance, entry_id in ranked[:k]]
+    return [(entry_id, distance) for distance, entry_id in ranked[:k]]
 
 
 class KBContentionStrategy(ExperimentStrategy):
@@ -620,6 +625,9 @@ class KBContentionStrategy(ExperimentStrategy):
       and removes the oldest extras to bound growth.  Each ``add_many``
       holds the knowledge base's one write lock for its whole batch, so
       ``retrieve_seconds`` is what a reader pays for that lock.
+      ``tenant_retrieve_seconds`` times the tenant view under the same
+      writer: the shadow-aware merge of the tenant's namespace with the
+      shared corpus.
     """
 
     name = "kb_contention"
@@ -633,7 +641,6 @@ class KBContentionStrategy(ExperimentStrategy):
         writer_batch: int = 48,
         writer_pause_seconds: float = 0.001,
         max_extra_entries: int = 96,
-        tenant_entries: int = 48,
     ):
         self.entry_pool = entry_pool
         self.queries = queries
@@ -642,7 +649,6 @@ class KBContentionStrategy(ExperimentStrategy):
         self.writer_batch = writer_batch
         self.writer_pause_seconds = writer_pause_seconds
         self.max_extra_entries = max_extra_entries
-        self.tenant_entries = tenant_entries
 
     def default_config(self) -> ExperimentConfig:
         return ExperimentConfig(runs=3, warmup_runs=1)
@@ -665,11 +671,11 @@ class KBContentionStrategy(ExperimentStrategy):
         context.state["entries"] = [
             jittered(i, f"kbbench-{i}", 0.05) for i in range(self.entry_pool)
         ]
-        # Half the tenant's entries reuse shared ids (shadowing them with a
-        # new embedding); the other half are private to the tenant.
+        # Even-numbered tenant entries shadow a shared id with a new
+        # embedding; odd-numbered ones are private to the tenant.
         context.state["tenant_entries"] = [
             jittered(i, f"kbbench-{i}" if i % 2 == 0 else f"tenant-{i}", 0.05)
-            for i in range(self.tenant_entries)
+            for i in range(_CHECK_TENANT_ENTRIES)
         ]
         context.state["queries"] = [
             base[i % len(base)].embedding + rng.normal(0.0, 0.1, size=dim)
@@ -691,17 +697,22 @@ class KBContentionStrategy(ExperimentStrategy):
         for query in context.state["queries"]:
             for tenant, view in ((DEFAULT_TENANT, shared), (_CHECK_TENANT, tenant_view)):
                 hits = kb.retrieve(query, k=self.k, tenant=tenant).hits
-                if [hit.entry.entry_id for hit in hits] != brute_force_topk(view, query, self.k):
+                expected = [entry_id for entry_id, _ in brute_force_topk(view, query, self.k)]
+                if [hit.entry.entry_id for hit in hits] != expected:
                     mismatches += 1
         return mismatches
 
     # ------------------------------------------------------------ contention
-    def _timed_phase(self, context: ExperimentContext) -> tuple[list[float], int]:
-        """Retrieval latencies under a bulk-ingesting writer thread."""
+    def _timed_phase(
+        self, context: ExperimentContext
+    ) -> tuple[dict[str, list[float]], int]:
+        """Default-view, then tenant-view, retrieval latencies under a
+        bulk-ingesting writer thread."""
         entries = context.state["entries"]
         queries = context.state["queries"]
         kb = KnowledgeBase()
         kb.add_many(entries)
+        kb.add_many(context.state["tenant_entries"], tenant=_CHECK_TENANT)
         rng = np.random.default_rng(context.state["writer_rng_seed"])
         dim = entries[0].embedding.shape[0]
         stop = threading.Event()
@@ -732,34 +743,39 @@ class KBContentionStrategy(ExperimentStrategy):
                 if self.writer_pause_seconds:
                     time.sleep(self.writer_pause_seconds)
 
-        # Warm the retrieval path before the writer starts.
-        for _ in range(3):
-            kb.retrieve(queries[0], k=self.k)
+        # Warm both retrieval paths before the writer starts.
+        for tenant in (DEFAULT_TENANT, _CHECK_TENANT) * 3:
+            kb.retrieve(queries[0], k=self.k, tenant=tenant)
         thread = threading.Thread(target=writer, name="kb-writer", daemon=True)
         thread.start()
-        latencies: list[float] = []
+        series: dict[str, list[float]] = {}
         try:
-            for i in range(self.timed_retrievals):
-                query = queries[i % len(queries)]
-                start = time.perf_counter()
-                kb.retrieve(query, k=self.k)
-                latencies.append(time.perf_counter() - start)
+            for name, tenant in (
+                ("retrieve_seconds", DEFAULT_TENANT),
+                ("tenant_retrieve_seconds", _CHECK_TENANT),
+            ):
+                latencies = series[name] = []
+                for i in range(self.timed_retrievals):
+                    query = queries[i % len(queries)]
+                    start = time.perf_counter()
+                    kb.retrieve(query, k=self.k, tenant=tenant)
+                    latencies.append(time.perf_counter() - start)
         finally:
             stop.set()
             thread.join(timeout=10.0)
-        return latencies, writes
+        return series, writes
 
     def execute(self, context: ExperimentContext) -> RunResult:
         mismatches = self._check_equivalence(context)
-        latencies, writes = self._timed_phase(context)
+        series, writes = self._timed_phase(context)
         return RunResult(
-            metrics={"retrieve_seconds": latencies},
+            metrics=series,
             counters={
                 "topk_mismatch_errors": mismatches,
                 "equivalence_queries": 2 * len(context.state["queries"]),
                 "writer_ops": writes,
             },
-            operations=self.timed_retrievals + 2 * len(context.state["queries"]),
+            operations=2 * (self.timed_retrievals + len(context.state["queries"])),
         )
 
 

@@ -92,8 +92,8 @@ class KnowledgeBase:
     write lock is released, so a listener may safely read the knowledge base.
 
     ``vector_store`` indexes the default namespace; every other tenant gets
-    a private :class:`FlatVectorStore` with the same metric, created on its
-    first write.
+    a private :class:`FlatVectorStore` with the same metric, created when
+    its first entry is inserted and dropped when its last entry is removed.
     """
 
     def __init__(self, vector_store: VectorStore | None = None):
@@ -117,22 +117,20 @@ class KnowledgeBase:
             listener(event, entry_id, tenant)
 
     # ------------------------------------------------------------------ write
-    def _namespace_for_write(self, tenant: str) -> _Namespace:
-        namespace = self._namespaces.get(tenant)
-        if namespace is None:
-            namespace = _Namespace(FlatVectorStore(self.vector_store.metric))
-            self._namespaces[tenant] = namespace
-        return namespace
-
     def _existing(self, entry_id: str, tenant: str) -> _Namespace:
         namespace = self._namespaces.get(tenant)
         if namespace is None or entry_id not in namespace.entries:
             raise KeyError(f"unknown entry id {entry_id!r} for tenant {tenant!r}")
         return namespace
 
-    def _add_unlocked(self, entry: KnowledgeEntry, namespace: _Namespace) -> None:
-        if entry.entry_id in namespace.entries:
+    def _add_unlocked(self, entry: KnowledgeEntry, tenant: str) -> None:
+        namespace = self._namespaces.get(tenant)
+        if namespace is not None and entry.entry_id in namespace.entries:
             raise KeyError(f"duplicate entry id {entry.entry_id!r}")
+        if namespace is None:
+            # A tenant's namespace exists only while it holds entries.
+            namespace = _Namespace(FlatVectorStore(self.vector_store.metric))
+            self._namespaces[tenant] = namespace
         self._insert_counter += 1
         entry.inserted_at = self._insert_counter
         namespace.entries[entry.entry_id] = entry
@@ -141,14 +139,13 @@ class KnowledgeBase:
     def add(self, entry: KnowledgeEntry, *, tenant: str = DEFAULT_TENANT) -> None:
         """Insert a new entry (raises on an id already in ``tenant``)."""
         with self._lock.write_locked():
-            self._add_unlocked(entry, self._namespace_for_write(tenant))
+            self._add_unlocked(entry, tenant)
         self._notify("add", entry.entry_id, tenant)
 
     def add_many(self, entries: list[KnowledgeEntry], *, tenant: str = DEFAULT_TENANT) -> None:
         with self._lock.write_locked():
-            namespace = self._namespace_for_write(tenant)
             for entry in entries:
-                self._add_unlocked(entry, namespace)
+                self._add_unlocked(entry, tenant)
         for entry in entries:
             self._notify("add", entry.entry_id, tenant)
 
@@ -158,6 +155,8 @@ class KnowledgeBase:
             namespace = self._existing(entry_id, tenant)
             namespace.store.remove(entry_id)
             removed = namespace.entries.pop(entry_id)
+            if not namespace.entries and namespace is not self._shared:
+                del self._namespaces[tenant]
         self._notify("remove", entry_id, tenant)
         return removed
 
@@ -180,21 +179,13 @@ class KnowledgeBase:
         with self._lock.read_locked():
             return self._existing(entry_id, tenant).entries[entry_id]
 
-    def contains(self, entry_id: str, *, tenant: str = DEFAULT_TENANT) -> bool:
-        with self._lock.read_locked():
-            namespace = self._namespaces.get(tenant)
-            return namespace is not None and entry_id in namespace.entries
-
     def __contains__(self, entry_id: str) -> bool:
-        return self.contains(entry_id)
-
-    def count(self, *, tenant: str = DEFAULT_TENANT) -> int:
         with self._lock.read_locked():
-            namespace = self._namespaces.get(tenant)
-            return 0 if namespace is None else len(namespace.entries)
+            return entry_id in self._shared.entries
 
     def __len__(self) -> int:
-        return self.count()
+        with self._lock.read_locked():
+            return len(self._shared.entries)
 
     def entries(self, *, tenant: str = DEFAULT_TENANT) -> list[KnowledgeEntry]:
         with self._lock.read_locked():
@@ -242,8 +233,7 @@ class KnowledgeBase:
         if own is None:
             pairs = self._shared.search(query, k)
         else:
-            shared = self._shared.entries
-            shadowed = sum(1 for entry_id in own.entries if entry_id in shared)
+            shadowed = len(own.entries.keys() & self._shared.entries.keys())
             pairs = own.search(query, k) + [
                 (entry, distance)
                 for entry, distance in self._shared.search(query, k + shadowed)

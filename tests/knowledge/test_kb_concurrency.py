@@ -82,8 +82,8 @@ def test_concurrent_readers_and_writers_never_error():
         stop,
     )
     assert not errors, errors
-    assert kb.count() == 120  # every churn entry was removed again
-    assert kb.count(tenant="acme") == 0
+    assert len(kb) == 120  # every churn entry was removed again
+    assert kb.entries(tenant="acme") == []
 
 
 def test_tenant_churn_never_leaks_into_other_tenants_reads():
@@ -118,8 +118,8 @@ def test_tenant_churn_never_leaks_into_other_tenants_reads():
 
     run_threads([threading.Thread(target=writer_a)], [threading.Thread(target=reader_b)], stop)
     assert not errors, errors
-    assert kb.count(tenant="a") == 60
-    assert kb.count(tenant="b") == 60
+    assert len(kb.entries(tenant="a")) == 60
+    assert len(kb.entries(tenant="b")) == 60
 
 
 def test_hnsw_bulk_ingest_under_concurrent_retrieval():
@@ -163,4 +163,4 @@ def test_hnsw_bulk_ingest_under_concurrent_retrieval():
         for thread in readers:
             thread.join(timeout=30)
     assert not errors, errors
-    assert kb.count() == 80
+    assert len(kb) == 80

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.strategies import brute_force_topk
 from repro.knowledge.entry import KnowledgeEntry
 from repro.knowledge.knowledge_base import DEFAULT_TENANT, KnowledgeBase
 from repro.knowledge.vector_store import FlatVectorStore, HNSWVectorStore
@@ -38,13 +39,8 @@ def ids(result) -> list[str]:
     return [hit.entry.entry_id for hit in result.hits]
 
 
-def reference(view: dict[str, np.ndarray], query: np.ndarray, k: int) -> list[tuple[str, float]]:
-    """Exact cosine top-k of ``view`` (id -> embedding), ranked by (distance, id)."""
-    ranked = sorted(
-        (1.0 - float(vector @ query) / (np.linalg.norm(vector) * np.linalg.norm(query)), entry_id)
-        for entry_id, vector in view.items()
-    )
-    return [(entry_id, distance) for distance, entry_id in ranked[:k]]
+def ids_in(kb: KnowledgeBase, tenant: str) -> set[str]:
+    return {entry.entry_id for entry in kb.entries(tenant=tenant)}
 
 
 # ---------------------------------------------------------------- default view
@@ -82,7 +78,7 @@ def test_crud_round_trip_and_errors():
         kb.correct("nope", "x")
     # The same operations inside a tenant namespace.
     kb.add(make_entry("entry-3", np.ones(DIM)), tenant="acme")
-    assert kb.contains("entry-3", tenant="acme") and "entry-3" not in kb
+    assert "entry-3" in ids_in(kb, "acme") and "entry-3" not in kb
     with pytest.raises(KeyError):
         kb.add(make_entry("entry-3", np.ones(DIM)), tenant="acme")
     with pytest.raises(KeyError):
@@ -96,12 +92,12 @@ def test_tenant_namespaces_are_isolated():
     kb = KnowledgeBase()
     kb.add_many(make_entries(30), tenant="tenant-a")
     kb.add_many(make_entries(5, seed=9), tenant="tenant-b")
-    assert kb.count(tenant="tenant-a") == 30
-    assert kb.count(tenant="tenant-b") == 5
-    assert kb.count() == 0
+    assert len(kb.entries(tenant="tenant-a")) == 30
+    assert len(kb.entries(tenant="tenant-b")) == 5
+    assert len(kb) == 0
     # The same entry id exists under both tenants independently.
-    assert kb.contains("entry-0", tenant="tenant-a")
-    assert kb.contains("entry-0", tenant="tenant-b")
+    assert "entry-0" in ids_in(kb, "tenant-a")
+    assert "entry-0" in ids_in(kb, "tenant-b")
     assert "entry-0" not in kb
     # Retrieval never crosses tenants.
     query = np.random.default_rng(1).normal(size=DIM)
@@ -110,6 +106,29 @@ def test_tenant_namespaces_are_isolated():
     b_entries = {entry.entry_id: entry for entry in kb.entries(tenant="tenant-b")}
     assert all(hit.entry is b_entries[hit.entry.entry_id] for hit in hits)
     assert kb.retrieve(query, k=5).hits == []
+
+
+def test_tenant_namespace_lives_only_while_it_holds_entries():
+    """Failed or empty writes create no namespace, and removing a tenant's
+    last entry drops it, so an empty tenant falls back to the shared search."""
+    kb = KnowledgeBase()
+    kb.add_many(make_entries(3))
+    kb.add_many([], tenant="acme")
+    with pytest.raises(KeyError):
+        kb.remove("entry-0", tenant="acme")
+    assert set(kb._namespaces) == {DEFAULT_TENANT}
+    kb.add(make_entry("mine", np.ones(DIM)), tenant="acme")
+    with pytest.raises(KeyError):
+        kb.add(make_entry("mine", np.ones(DIM)), tenant="acme")
+    assert set(kb._namespaces) == {DEFAULT_TENANT, "acme"}
+    kb.remove("mine", tenant="acme")
+    assert set(kb._namespaces) == {DEFAULT_TENANT}
+    # The default namespace itself survives being emptied.
+    for entry_id in ("entry-0", "entry-1", "entry-2"):
+        kb.remove(entry_id)
+    assert set(kb._namespaces) == {DEFAULT_TENANT} and len(kb) == 0
+    kb.add(make_entry("again", np.ones(DIM)))
+    assert ids(kb.retrieve(np.ones(DIM), k=1)) == ["again"]
 
 
 def test_tenant_retrieval_grounds_on_shared_corpus():
@@ -209,15 +228,15 @@ def test_random_writes_keep_every_tenant_view_exact(operations, seed):
     rng = np.random.default_rng(seed)
     queries = [rng.normal(size=DIM) for _ in range(3)]
     kb = KnowledgeBase()
-    model: dict[str, dict[str, np.ndarray]] = {tenant: {} for tenant in TENANTS}
+    model: dict[str, dict[str, KnowledgeEntry]] = {tenant: {} for tenant in TENANTS}
     explanations: dict[tuple[str, str], str] = {}
     for step, (operation, tenant, slot, k) in enumerate(operations):
         entry_id = f"id-{slot}"
         present = entry_id in model[tenant]
         if operation == "add" and not present:
-            vector = rng.normal(size=DIM)
-            kb.add(make_entry(entry_id, vector), tenant=tenant)
-            model[tenant][entry_id] = vector
+            entry = make_entry(entry_id, rng.normal(size=DIM))
+            kb.add(entry, tenant=tenant)
+            model[tenant][entry_id] = entry
             explanations[tenant, entry_id] = "because"
         elif operation == "correct" and present:
             kb.correct(entry_id, f"fix-{step}", tenant=tenant)
@@ -237,10 +256,10 @@ def test_random_writes_keep_every_tenant_view_exact(operations, seed):
         for view_tenant in TENANTS:
             view = dict(model[DEFAULT_TENANT])
             view.update(model[view_tenant])
-            assert kb.count(tenant=view_tenant) == len(model[view_tenant])
+            assert ids_in(kb, view_tenant) == set(model[view_tenant])
             for query in queries:
                 hits = kb.retrieve(query, k=k, tenant=view_tenant).hits
-                expected = reference(view, query, k)
+                expected = brute_force_topk(list(view.values()), query, k)
                 assert [hit.entry.entry_id for hit in hits] == [e for e, _ in expected]
                 assert [hit.distance for hit in hits] == pytest.approx(
                     [d for _, d in expected], abs=1e-12
@@ -248,6 +267,6 @@ def test_random_writes_keep_every_tenant_view_exact(operations, seed):
                 for hit in hits:
                     # Each hit is the entry of the namespace that owns it.
                     owner = view_tenant if hit.entry.entry_id in model[view_tenant] else DEFAULT_TENANT
-                    assert np.array_equal(hit.entry.embedding, model[owner][hit.entry.entry_id])
+                    assert hit.entry is model[owner][hit.entry.entry_id]
                     assert hit.entry.expert_explanation == explanations[owner, hit.entry.entry_id]
 
