@@ -21,7 +21,7 @@ import numpy as np
 
 from benchmarks.conftest import run_once
 from repro.bench.reporting import format_table
-from repro.service import ExplanationService
+from repro.service import ExplanationService, ServiceConfig
 
 CONCURRENCY = 32
 DISTINCT_QUERIES = 24
@@ -44,13 +44,12 @@ def _run_service_experiment(harness) -> dict:
     baseline_seconds_per_query = (time.perf_counter() - baseline_start) / (DISTINCT_QUERIES // 2)
 
     service = ExplanationService(
-        harness.system,
-        harness.router,
-        harness.knowledge_base,
-        harness.llm,
-        top_k=harness.top_k,
-        max_workers=8,
-        max_in_flight=TOTAL_REQUESTS + CONCURRENCY,
+        harness.system, harness.router, harness.knowledge_base, harness.llm,
+        config=ServiceConfig(
+            top_k=harness.top_k,
+            max_workers=8,
+            max_in_flight=TOTAL_REQUESTS + CONCURRENCY,
+        ),
     )
     try:
         # Phase A — cold, sequential: per-request end-to-end cold latency.

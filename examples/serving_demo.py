@@ -24,7 +24,7 @@ from repro.htap import HTAPSystem
 from repro.knowledge import KnowledgeBase
 from repro.llm import SimulatedLLM
 from repro.router import SmartRouter
-from repro.service import ExplanationService
+from repro.service import ExplanationService, ServiceConfig
 from repro.workloads import SimulatedExpert, build_paper_dataset
 
 
@@ -40,12 +40,8 @@ def main() -> None:
     knowledge_base.add_many(entries_from_labeled(dataset.knowledge_base, router, SimulatedExpert()))
 
     service = ExplanationService(
-        system,
-        router,
-        knowledge_base,
-        SimulatedLLM(),
-        max_workers=8,
-        max_in_flight=128,
+        system, router, knowledge_base, SimulatedLLM(),
+        config=ServiceConfig(max_workers=8, max_in_flight=128),
     )
     sqls = [labeled.sql for labeled in dataset.test]
 
@@ -93,7 +89,8 @@ def main() -> None:
     # ----------------------------------------------------- 5. load shedding
     print("\nLoad shedding with a tiny in-flight budget:")
     with ExplanationService(
-        system, router, knowledge_base, SimulatedLLM(), max_workers=1, max_in_flight=2
+        system, router, knowledge_base, SimulatedLLM(),
+        config=ServiceConfig(max_workers=1, max_in_flight=2),
     ) as tiny:
         futures = [tiny.submit(sqls[i % len(sqls)]) for i in range(10)]
         outcomes = [future.result() for future in futures]

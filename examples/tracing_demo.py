@@ -43,7 +43,7 @@ from repro.obs import (
 )
 from repro.obs.cli import breakdown_rows, render_trace_tree
 from repro.router import SmartRouter
-from repro.service import ExplanationService
+from repro.service import ExplanationService, ServiceConfig
 from repro.workloads import SimulatedExpert, build_paper_dataset
 
 
@@ -63,7 +63,8 @@ def main() -> None:
 
     with traced(writer=TraceLogWriter(log_path)) as tracer:
         with ExplanationService(
-            system, router, knowledge_base, SimulatedLLM(), max_workers=4
+            system, router, knowledge_base, SimulatedLLM(),
+            config=ServiceConfig(max_workers=4),
         ) as service:
             # ------------------------------------------- 1. one cold request
             print("\nTracing one cold request...")
@@ -122,7 +123,7 @@ def main() -> None:
     with traced(sampler=Sampler(head_probability=1.0, slow_threshold_seconds=0.05)):
         with ExplanationService(
             system, router, knowledge_base, SimulatedLLM(),
-            max_workers=4, admin_port=0,
+            config=ServiceConfig(max_workers=4, admin_port=0),
         ) as service:
             for sql in sqls[:4]:
                 assert service.explain(sql).ok

@@ -60,6 +60,7 @@ from repro.bench.runner import (
 )
 from repro.knowledge.entry import KnowledgeEntry
 from repro.knowledge.knowledge_base import DEFAULT_TENANT, KnowledgeBase
+from repro.service.config import ServiceConfig
 from repro.service.server import ExplanationService
 
 #: Harness scales the CLI can build.  ``quick`` mirrors the reduced harness
@@ -234,13 +235,12 @@ class ServiceThroughputStrategy(ExperimentStrategy):
         harness = context.harness
         sqls: list[str] = context.state["sqls"]
         service = ExplanationService(
-            harness.system,
-            harness.router,
-            harness.knowledge_base,
-            harness.llm,
-            top_k=harness.top_k,
-            max_workers=self.max_workers,
-            max_in_flight=self.total_requests + self.concurrency,
+            harness.system, harness.router, harness.knowledge_base, harness.llm,
+            config=ServiceConfig(
+                top_k=harness.top_k,
+                max_workers=self.max_workers,
+                max_in_flight=self.total_requests + self.concurrency,
+            ),
         )
         try:
             # Phase A — cold, sequential, over *half* the distinct queries:
@@ -344,12 +344,8 @@ class StageBreakdownStrategy(ExperimentStrategy):
         store = TraceStore(max_slow=4, max_recent=len(sqls) + 4)
         with traced(store=store):
             service = ExplanationService(
-                harness.system,
-                harness.router,
-                harness.knowledge_base,
-                harness.llm,
-                top_k=harness.top_k,
-                max_workers=self.max_workers,
+                harness.system, harness.router, harness.knowledge_base, harness.llm,
+                config=ServiceConfig(top_k=harness.top_k, max_workers=self.max_workers),
             )
             try:
                 request_seconds: list[float] = []
@@ -420,12 +416,8 @@ class ColdPathStrategy(ExperimentStrategy):
         store = TraceStore(max_slow=4, max_recent=len(sqls) + 4)
         with traced(store=store):
             service = ExplanationService(
-                harness.system,
-                harness.router,
-                harness.knowledge_base,
-                harness.llm,
-                top_k=harness.top_k,
-                max_workers=self.max_workers,
+                harness.system, harness.router, harness.knowledge_base, harness.llm,
+                config=ServiceConfig(top_k=harness.top_k, max_workers=self.max_workers),
             )
             try:
                 uncached_seconds: list[float] = []
@@ -526,12 +518,8 @@ class ObsOverheadStrategy(ExperimentStrategy):
         harness = context.harness
         sqls: list[str] = context.state["sqls"]
         service = ExplanationService(
-            harness.system,
-            harness.router,
-            harness.knowledge_base,
-            harness.llm,
-            top_k=harness.top_k,
-            max_workers=self.max_workers,
+            harness.system, harness.router, harness.knowledge_base, harness.llm,
+            config=ServiceConfig(top_k=harness.top_k, max_workers=self.max_workers),
         )
         try:
             for sql in sqls:

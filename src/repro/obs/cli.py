@@ -123,6 +123,7 @@ def _demo(args: argparse.Namespace) -> int:
     from repro.obs.promtext import merged_exposition
     from repro.obs.store import TraceStore
     from repro.obs.tracing import traced
+    from repro.service.config import ServiceConfig
     from repro.service.server import ExplanationService
 
     print(f"building harness (profile={args.profile}) ...", flush=True)
@@ -135,12 +136,8 @@ def _demo(args: argparse.Namespace) -> int:
     store = TraceStore(max_slow=8, max_recent=max(32, len(sqls)))
     with traced(store=store, writer=writer) as tracer:
         service = ExplanationService(
-            harness.system,
-            harness.router,
-            harness.knowledge_base,
-            harness.llm,
-            top_k=harness.top_k,
-            max_workers=4,
+            harness.system, harness.router, harness.knowledge_base, harness.llm,
+            config=ServiceConfig(top_k=harness.top_k, max_workers=4),
         )
         try:
             for sql in sqls:
@@ -183,6 +180,7 @@ def _serve(args: argparse.Namespace) -> int:
     from repro.obs.sampling import Sampler
     from repro.obs.store import TraceStore
     from repro.obs.tracing import traced
+    from repro.service.config import ServiceConfig
     from repro.service.server import ExplanationService
 
     print(f"building harness (profile={args.profile}) ...", flush=True)
@@ -195,14 +193,13 @@ def _serve(args: argparse.Namespace) -> int:
     store = TraceStore(max_slow=16, max_recent=256)
     with traced(store=store, sampler=sampler):
         service = ExplanationService(
-            harness.system,
-            harness.router,
-            harness.knowledge_base,
-            harness.llm,
-            top_k=harness.top_k,
-            max_workers=4,
-            admin_port=args.port,
-            admin_host=args.host,
+            harness.system, harness.router, harness.knowledge_base, harness.llm,
+            config=ServiceConfig(
+                top_k=harness.top_k,
+                max_workers=4,
+                admin_port=args.port,
+                admin_host=args.host,
+            ),
         )
         try:
             admin = service.admin

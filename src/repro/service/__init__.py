@@ -8,7 +8,7 @@ production-shaped serving layer:
 * :mod:`repro.service.api` — request/response model with request ids,
   deadlines, and typed error results;
 * :mod:`repro.service.fingerprint` — normalized-SQL cache keys;
-* :mod:`repro.service.cache` — L1 explanation / L2 plan+embedding LRU+TTL
+* :mod:`repro.service.cache` — L1 explanation / L2 plan+embedding LRU
   caches with hit/miss accounting and DDL / KB-write invalidation;
 * :mod:`repro.service.batching` — micro-batching scheduler driving
   :meth:`~repro.router.router.SmartRouter.embed_batch`, fed through a
@@ -29,7 +29,7 @@ from repro.service.api import (
     ServiceErrorCode,
 )
 from repro.service.batching import MicroBatcher, WeightedFairQueue
-from repro.service.cache import CacheLevels, CacheStats, LRUTTLCache, ServiceCache
+from repro.service.cache import CacheLevels, CacheStats, LRUCache, ServiceCache
 from repro.service.config import ServiceConfig
 from repro.service.fingerprint import normalize_sql, request_cache_key, sql_fingerprint
 from repro.service.metrics import Counter, LatencyHistogram, MetricsRegistry
@@ -44,7 +44,7 @@ __all__ = [
     "ExplainRequest",
     "ExplainResult",
     "ExplanationService",
-    "LRUTTLCache",
+    "LRUCache",
     "LatencyHistogram",
     "MetricsRegistry",
     "MicroBatcher",

@@ -1,6 +1,6 @@
 """Multi-level caching for the explanation service.
 
-Two levels, both LRU with optional TTL and full hit/miss accounting:
+Two levels, both LRU with full hit/miss accounting:
 
 * **L1 — explanation cache**: ``request_cache_key -> Explanation``.  A hit
   serves the finished answer without touching planner, router, knowledge
@@ -11,19 +11,19 @@ Two levels, both LRU with optional TTL and full hit/miss accounting:
   retrieval + generation.  Invalidated by DDL only; knowledge-base writes
   do not change plans or embeddings.
 
-Both caches are safe to use from many worker threads.
+Entries never expire by age: the epoch-guarded clears on DDL and KB writes
+are what keep them fresh.  Both caches are safe to use from many worker
+threads.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable
+from typing import Any, Hashable
 
 from repro.knowledge.knowledge_base import DEFAULT_TENANT
-from repro.knowledge.quantization import QuantizedVector, quantize_vector
 
 _MISSING = object()
 
@@ -36,7 +36,6 @@ class CacheStats:
     misses: int = 0
     evictions: int = 0
     invalidations: int = 0
-    expirations: int = 0
 
     @property
     def lookups(self) -> int:
@@ -52,48 +51,27 @@ class CacheStats:
             "misses": self.misses,
             "evictions": self.evictions,
             "invalidations": self.invalidations,
-            "expirations": self.expirations,
             "hit_rate": self.hit_rate,
         }
 
 
-class LRUTTLCache:
-    """Thread-safe LRU cache with optional per-cache TTL.
+class LRUCache:
+    """Thread-safe LRU cache; ``capacity`` bounds the entry count, evicting
+    least-recently-used entries."""
 
-    ``ttl_seconds=None`` disables expiry; ``capacity`` bounds the entry
-    count, evicting least-recently-used entries.  The clock is injectable
-    so TTL behaviour is testable without sleeping.
-    """
-
-    def __init__(
-        self,
-        capacity: int = 1024,
-        *,
-        ttl_seconds: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ):
+    def __init__(self, capacity: int = 1024):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
-        if ttl_seconds is not None and ttl_seconds <= 0:
-            raise ValueError("ttl_seconds must be positive (or None to disable)")
         self.capacity = capacity
-        self.ttl_seconds = ttl_seconds
-        self._clock = clock
-        self._entries: "OrderedDict[Hashable, tuple[Any, float | None]]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.Lock()
         self._stats = CacheStats()
         self._epoch = 0
 
     def get(self, key: Hashable, default: Any = None) -> Any:
         with self._lock:
-            item = self._entries.get(key, _MISSING)
-            if item is _MISSING:
-                self._stats.misses += 1
-                return default
-            value, expires_at = item
-            if expires_at is not None and self._clock() >= expires_at:
-                del self._entries[key]
-                self._stats.expirations += 1
+            value = self._entries.get(key, _MISSING)
+            if value is _MISSING:
                 self._stats.misses += 1
                 return default
             self._entries.move_to_end(key)
@@ -111,10 +89,9 @@ class LRUTTLCache:
         with self._lock:
             if epoch is not None and epoch != self._epoch:
                 return False
-            expires_at = None if self.ttl_seconds is None else self._clock() + self.ttl_seconds
             if key in self._entries:
                 self._entries.move_to_end(key)
-            self._entries[key] = (value, expires_at)
+            self._entries[key] = value
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self._stats.evictions += 1
@@ -154,11 +131,7 @@ class LRUTTLCache:
 
     def __contains__(self, key: Hashable) -> bool:
         with self._lock:
-            item = self._entries.get(key, _MISSING)
-            if item is _MISSING:
-                return False
-            _value, expires_at = item
-            return expires_at is None or self._clock() < expires_at
+            return key in self._entries
 
     @property
     def stats(self) -> CacheStats:
@@ -176,8 +149,8 @@ class LRUTTLCache:
 class CacheLevels:
     """One tenant's pair of cache levels (L1 explanations + L2 plans)."""
 
-    explanations: LRUTTLCache
-    plans: LRUTTLCache
+    explanations: LRUCache
+    plans: LRUCache
 
 
 class ServiceCache:
@@ -190,32 +163,12 @@ class ServiceCache:
     Every tenant gets a private :class:`CacheLevels` pair (created lazily
     by :meth:`level`), so one tenant's knowledge-base writes invalidate
     only that tenant's explanations and a noisy tenant cannot evict a
-    quiet one's entries.  The :attr:`explanations` / :attr:`plans`
-    properties alias the default tenant's levels, keeping the
-    single-tenant API unchanged.
-
-    With ``quantize_embeddings`` the L2 plan entries store their embedding
-    as int8 codes (:mod:`repro.knowledge.quantization`) — ~8× less
-    embedding memory per entry — and :meth:`get_plan` dequantizes on hit,
-    so callers always receive a float64 array.
+    quiet one's entries.
     """
 
-    def __init__(
-        self,
-        *,
-        explanation_capacity: int = 512,
-        plan_capacity: int = 2048,
-        explanation_ttl_seconds: float | None = None,
-        plan_ttl_seconds: float | None = None,
-        quantize_embeddings: bool = False,
-        clock: Callable[[], float] = time.monotonic,
-    ):
+    def __init__(self, *, explanation_capacity: int = 512, plan_capacity: int = 2048):
         self._explanation_capacity = explanation_capacity
         self._plan_capacity = plan_capacity
-        self._explanation_ttl = explanation_ttl_seconds
-        self._plan_ttl = plan_ttl_seconds
-        self._clock = clock
-        self.quantize_embeddings = quantize_embeddings
         self._levels_lock = threading.Lock()
         #: tenant -> CacheLevels; replaced copy-on-write so readers may
         #: iterate a snapshot without holding the lock.
@@ -223,39 +176,26 @@ class ServiceCache:
 
     def _new_levels(self) -> CacheLevels:
         return CacheLevels(
-            explanations=LRUTTLCache(
-                self._explanation_capacity, ttl_seconds=self._explanation_ttl, clock=self._clock
-            ),
-            plans=LRUTTLCache(self._plan_capacity, ttl_seconds=self._plan_ttl, clock=self._clock),
+            explanations=LRUCache(self._explanation_capacity),
+            plans=LRUCache(self._plan_capacity),
         )
 
     # ------------------------------------------------------------ tenant levels
-    def level(self, tenant: str | None = None) -> CacheLevels:
+    def level(self, tenant: str = DEFAULT_TENANT) -> CacheLevels:
         """The (lazily created) cache pair owned by ``tenant``."""
-        name = tenant if tenant is not None else DEFAULT_TENANT
-        levels = self._levels.get(name)
+        levels = self._levels.get(tenant)
         if levels is None:
             with self._levels_lock:
-                levels = self._levels.get(name)
+                levels = self._levels.get(tenant)
                 if levels is None:
                     levels = self._new_levels()
                     fresh = dict(self._levels)
-                    fresh[name] = levels
+                    fresh[tenant] = levels
                     self._levels = fresh
         return levels
 
     def tenants(self) -> tuple[str, ...]:
         return tuple(sorted(self._levels))
-
-    @property
-    def explanations(self) -> LRUTTLCache:
-        """The default tenant's L1 (legacy single-tenant accessor)."""
-        return self._levels[DEFAULT_TENANT].explanations
-
-    @property
-    def plans(self) -> LRUTTLCache:
-        """The default tenant's L2 (legacy single-tenant accessor)."""
-        return self._levels[DEFAULT_TENANT].plans
 
     # -------------------------------------------------------------- L2 entries
     def put_plan(
@@ -265,21 +205,14 @@ class ServiceCache:
         embedding: Any,
         *,
         epoch: int | None = None,
-        tenant: str | None = None,
+        tenant: str = DEFAULT_TENANT,
     ) -> bool:
-        """Store one L2 entry, quantizing the embedding when configured."""
-        stored = quantize_vector(embedding) if self.quantize_embeddings else embedding
-        return self.level(tenant).plans.put(key, (execution, stored), epoch=epoch)
+        """Store one L2 entry."""
+        return self.level(tenant).plans.put(key, (execution, embedding), epoch=epoch)
 
-    def get_plan(self, key: Hashable, *, tenant: str | None = None) -> tuple[Any, Any] | None:
-        """One L2 lookup; quantized embeddings are dequantized on hit."""
-        entry = self.level(tenant).plans.get(key)
-        if entry is None:
-            return None
-        execution, stored = entry
-        if isinstance(stored, QuantizedVector):
-            stored = stored.dequantize()
-        return execution, stored
+    def get_plan(self, key: Hashable, *, tenant: str = DEFAULT_TENANT) -> tuple[Any, Any] | None:
+        """One L2 lookup: ``(execution, embedding)`` or ``None``."""
+        return self.level(tenant).plans.get(key)
 
     # ------------------------------------------------------------ invalidation
     def on_kb_write(self, event: str, entry_id: str, tenant: str = DEFAULT_TENANT) -> None:
@@ -307,7 +240,7 @@ class ServiceCache:
 
     # ---------------------------------------------------------------- export
     def snapshot(self) -> dict[str, dict[str, float]]:
-        """Per-level stats; the default tenant keeps the legacy flat keys,
+        """Per-level stats; the default tenant keeps the flat keys,
         other tenants appear as ``explanations.<tenant>`` / ``plans.<tenant>``."""
         payload: dict[str, dict[str, float]] = {}
         for tenant, levels in sorted(self._levels.items()):

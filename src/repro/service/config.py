@@ -1,19 +1,14 @@
 """ServiceConfig — the explanation service's tuning knobs in one place.
 
-:class:`~repro.service.server.ExplanationService` historically took every
-knob as a keyword argument; that still works (the kwargs override the
-config), but a :class:`ServiceConfig` can now be built once, shared between
-deployments, and extended without touching the service signature.
+:class:`~repro.service.server.ExplanationService` takes its settings only
+as ``config=ServiceConfig(...)``; one frozen value can be built once and
+shared between deployments.
 
 The knobs group into six concerns:
 
 * **concurrency** — ``max_workers``, ``max_in_flight``,
   ``default_deadline_seconds``;
-* **caching** — capacities and TTLs for the L1 explanation and L2 plan
-  caches, plus ``quantize_embedding_cache``: store L2 embeddings as int8
-  (:mod:`repro.knowledge.quantization`) for ~8× less embedding memory per
-  entry at a small, bounded precision cost — a capacity-for-accuracy knob
-  for deployments that want deeper plan caches in the same footprint;
+* **caching** — capacities of the L1 explanation and L2 plan caches;
 * **batching** — the micro-batcher's ``batch_max_size`` and
   ``batch_max_wait_seconds`` coalescing window (the window only applies
   once concurrent arrivals are observed; a lone request flushes
@@ -50,30 +45,11 @@ class ServiceConfig:
     default_deadline_seconds: float | None = None
     explanation_cache_capacity: int = 512
     plan_cache_capacity: int = 2048
-    explanation_ttl_seconds: float | None = None
-    plan_ttl_seconds: float | None = None
     batch_max_size: int = 16
     batch_max_wait_seconds: float = 0.002
-    quantize_embedding_cache: bool = False
     #: ``None`` disables the admin HTTP server; ``0`` binds an ephemeral port.
     admin_port: int | None = None
     admin_host: str = "127.0.0.1"
-
-    def with_overrides(self, **overrides: object) -> "ServiceConfig":
-        """A copy with the non-``None`` overrides applied.
-
-        ``None`` means "keep the config value" — the service's keyword
-        arguments default to ``None`` so explicit kwargs win over the
-        config while absent ones fall through to it.
-        """
-        known = {field.name for field in fields(self)}
-        unknown = sorted(set(overrides) - known)
-        if unknown:
-            raise TypeError(f"unknown ServiceConfig field(s): {', '.join(unknown)}")
-        applied = {name: value for name, value in overrides.items() if value is not None}
-        if not applied:
-            return self
-        return ServiceConfig(**{**self.as_dict(), **applied})
 
     def as_dict(self) -> dict[str, object]:
         return {field.name: getattr(self, field.name) for field in fields(self)}

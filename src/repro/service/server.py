@@ -46,7 +46,6 @@ from repro.htap.catalog import Index
 from repro.htap.system import HTAPSystem, QueryExecution
 from repro.knowledge.knowledge_base import DEFAULT_TENANT, KnowledgeBase
 from repro.llm.client import LLMClient
-from repro.llm.prompts import PromptBuilder
 from repro.obs.tracing import NULL_SPAN, Span, get_tracer
 from repro.router.router import SmartRouter
 from repro.service.api import (
@@ -60,7 +59,7 @@ from repro.service.cache import ServiceCache
 from repro.service.config import ServiceConfig
 from repro.service.fingerprint import request_cache_key, sql_fingerprint
 from repro.service.metrics import MetricsRegistry
-from repro.service.tenancy import TenantConfig, TenantRegistry
+from repro.service.tenancy import TenantRegistry
 
 
 def _completed(result: ExplainResult) -> "Future[ExplainResult]":
@@ -83,71 +82,34 @@ class ExplanationService:
         knowledge_base: KnowledgeBase,
         llm: LLMClient,
         *,
-        config: ServiceConfig | None = None,
-        prompt_builder: PromptBuilder | None = None,
-        top_k: int | None = None,
-        max_workers: int | None = None,
-        max_in_flight: int | None = None,
-        default_deadline_seconds: float | None = None,
-        explanation_cache_capacity: int | None = None,
-        plan_cache_capacity: int | None = None,
-        explanation_ttl_seconds: float | None = None,
-        plan_ttl_seconds: float | None = None,
-        batch_max_size: int | None = None,
-        batch_max_wait_seconds: float | None = None,
-        quantize_embedding_cache: bool | None = None,
-        admin_port: int | None = None,
-        admin_host: str | None = None,
-        tenants: tuple[TenantConfig, ...] | None = None,
+        config: ServiceConfig = ServiceConfig(),
     ):
-        self.config = (config or ServiceConfig()).with_overrides(
-            top_k=top_k,
-            max_workers=max_workers,
-            max_in_flight=max_in_flight,
-            default_deadline_seconds=default_deadline_seconds,
-            explanation_cache_capacity=explanation_cache_capacity,
-            plan_cache_capacity=plan_cache_capacity,
-            explanation_ttl_seconds=explanation_ttl_seconds,
-            plan_ttl_seconds=plan_ttl_seconds,
-            batch_max_size=batch_max_size,
-            batch_max_wait_seconds=batch_max_wait_seconds,
-            quantize_embedding_cache=quantize_embedding_cache,
-            admin_port=admin_port,
-            admin_host=admin_host,
-            tenants=tenants,
-        )
-        resolved = self.config
-        if resolved.max_workers < 1:
+        self.config = config
+        if config.max_workers < 1:
             raise ValueError("max_workers must be at least 1")
-        if resolved.max_in_flight < 1:
+        if config.max_in_flight < 1:
             raise ValueError("max_in_flight must be at least 1")
         self.system = system
         self.router = router
         self.knowledge_base = knowledge_base
-        self.tenants = TenantRegistry(resolved.tenants)
+        self.tenants = TenantRegistry(config.tenants)
         self.llm = llm
-        self.explainer = RagExplainer(
-            system, router, knowledge_base, llm,
-            top_k=resolved.top_k, prompt_builder=prompt_builder,
-        )
-        self.default_deadline_seconds = resolved.default_deadline_seconds
-        self.max_in_flight = resolved.max_in_flight
+        self.explainer = RagExplainer(system, router, knowledge_base, llm, top_k=config.top_k)
+        self.default_deadline_seconds = config.default_deadline_seconds
+        self.max_in_flight = config.max_in_flight
         self.metrics = MetricsRegistry()
         self.cache = ServiceCache(
-            explanation_capacity=resolved.explanation_cache_capacity,
-            plan_capacity=resolved.plan_cache_capacity,
-            explanation_ttl_seconds=resolved.explanation_ttl_seconds,
-            plan_ttl_seconds=resolved.plan_ttl_seconds,
-            quantize_embeddings=resolved.quantize_embedding_cache,
+            explanation_capacity=config.explanation_cache_capacity,
+            plan_capacity=config.plan_cache_capacity,
         )
         self.batcher = MicroBatcher(
             router,
-            max_batch_size=resolved.batch_max_size,
-            max_wait_seconds=resolved.batch_max_wait_seconds,
+            max_batch_size=config.batch_max_size,
+            max_wait_seconds=config.batch_max_wait_seconds,
             metrics=self.metrics,
         )
         self._executor = ThreadPoolExecutor(
-            max_workers=resolved.max_workers, thread_name_prefix="explain"
+            max_workers=config.max_workers, thread_name_prefix="explain"
         )
         self._in_flight = 0
         self._admission_lock = threading.Lock()
@@ -159,11 +121,11 @@ class ExplanationService:
         #: ``admin_port`` is configured).
         self.admin = None
         self.slo = None
-        if resolved.admin_port is not None:
-            self._start_admin(resolved)
+        if config.admin_port is not None:
+            self._start_admin(config)
 
     # ------------------------------------------------------------- admin plane
-    def _start_admin(self, resolved: ServiceConfig) -> None:
+    def _start_admin(self, config: ServiceConfig) -> None:
         # Imported lazily: most deployments never start the admin plane,
         # and repro.obs.server pulls in asyncio machinery this hot-path
         # module otherwise does not need.
@@ -172,8 +134,8 @@ class ExplanationService:
 
         self.slo = SLOTracker()
         self.admin = AdminServer(
-            host=resolved.admin_host,
-            port=resolved.admin_port,
+            host=config.admin_host,
+            port=config.admin_port,
             # The tracer providers re-read get_tracer() per request so the
             # endpoints follow `traced(...)` installs/restores live.
             snapshot_providers=(
@@ -265,7 +227,7 @@ class ExplanationService:
         *,
         user_notes: str | None = None,
         deadline_seconds: float | None = None,
-        tenant: str | None = None,
+        tenant: str = DEFAULT_TENANT,
     ) -> "Future[ExplainResult]":
         """Admit one request; returns a future that never raises.
 
@@ -275,21 +237,18 @@ class ExplanationService:
         with a ``QUEUE_FULL`` rejection; a tenant over its declared quota
         is shed with ``QUOTA_EXCEEDED``.
         """
-        resolved_tenant = tenant if tenant is not None else DEFAULT_TENANT
         request = ExplainRequest(
             sql=sql,
             user_notes=user_notes,
             deadline_seconds=(
                 self.default_deadline_seconds if deadline_seconds is None else deadline_seconds
             ),
-            tenant=resolved_tenant,
+            tenant=tenant,
         )
         self.metrics.counter("requests.submitted").increment()
-        self.metrics.counter(f"requests.tenant.{resolved_tenant}").increment()
+        self.metrics.counter(f"requests.tenant.{tenant}").increment()
         tracer = get_tracer()
-        root = tracer.span(
-            ROOT_SPAN_NAME, root=True, request_id=request.request_id, tenant=resolved_tenant
-        )
+        root = tracer.span(ROOT_SPAN_NAME, root=True, request_id=request.request_id, tenant=tenant)
         if self._closed:
             self.metrics.counter("requests.rejected_closed").increment()
             self._reject_span(root, ServiceErrorCode.SERVICE_CLOSED)
@@ -298,19 +257,17 @@ class ExplanationService:
                     request.request_id, ServiceErrorCode.SERVICE_CLOSED, "service is shut down"
                 )
             )
-        if not self.tenants.try_admit(resolved_tenant):
+        if not self.tenants.try_admit(tenant):
             self._reject_span(root, ServiceErrorCode.QUOTA_EXCEEDED)
             return _completed(
                 ExplainResult.rejection(
                     request.request_id,
                     ServiceErrorCode.QUOTA_EXCEEDED,
-                    f"tenant {resolved_tenant!r} is over its request quota",
+                    f"tenant {tenant!r} is over its request quota",
                 )
             )
-        cache_key = request_cache_key(
-            sql, user_notes, self.explainer.top_k, tenant=resolved_tenant
-        )
-        levels = self.cache.level(resolved_tenant)
+        cache_key = request_cache_key(sql, user_notes, self.explainer.top_k, tenant=tenant)
+        levels = self.cache.level(tenant)
         with tracer.attach(root):
             with tracer.span("cache.l1_lookup") as lookup:
                 cached = levels.explanations.get(cache_key)
@@ -377,7 +334,7 @@ class ExplanationService:
         *,
         user_notes: str | None = None,
         deadline_seconds: float | None = None,
-        tenant: str | None = None,
+        tenant: str = DEFAULT_TENANT,
     ) -> ExplainResult:
         """Synchronous convenience wrapper around :meth:`submit`."""
         return self.submit(

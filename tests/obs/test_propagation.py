@@ -16,7 +16,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.obs.tracing import NULL_SPAN, Tracer, traced
-from repro.service import ExplanationService
+from repro.service import ExplanationService, ServiceConfig
 from repro.service.batching import MicroBatcher
 
 
@@ -137,7 +137,8 @@ def test_served_request_trace_has_all_stages_parented(
 ):
     with traced() as tracer:
         service = ExplanationService(
-            system, trained_router, knowledge_base, simulated_llm, max_workers=2
+            system, trained_router, knowledge_base, simulated_llm,
+            config=ServiceConfig(max_workers=2),
         )
         try:
             result = service.explain("SELECT COUNT(*) FROM orders WHERE o_orderstatus = 'p';")
@@ -176,7 +177,8 @@ def test_warm_request_trace_marks_l1_hit(
     sql = "SELECT COUNT(*) FROM customer WHERE c_mktsegment = 'machinery';"
     with traced() as tracer:
         service = ExplanationService(
-            system, trained_router, knowledge_base, simulated_llm, max_workers=2
+            system, trained_router, knowledge_base, simulated_llm,
+            config=ServiceConfig(max_workers=2),
         )
         try:
             assert service.explain(sql).ok

@@ -15,7 +15,7 @@ from repro.htap.system import HTAPSystem
 from repro.knowledge.knowledge_base import KnowledgeBase
 from repro.llm.simulated import SimulatedLLM
 from repro.router.router import SmartRouter
-from repro.service import ExplanationService
+from repro.service import ExplanationService, ServiceConfig
 from repro.workloads.experts import SimulatedExpert
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.labeling import WorkloadLabeler
@@ -40,7 +40,8 @@ def service_stack():
 def service(service_stack):
     system, router, knowledge_base, llm, _sqls, _labeled = service_stack
     svc = ExplanationService(
-        system, router, knowledge_base, llm, max_workers=4, max_in_flight=64
+        system, router, knowledge_base, llm,
+        config=ServiceConfig(max_workers=4, max_in_flight=64),
     )
     yield svc
     svc.shutdown()

@@ -1,8 +1,8 @@
-"""Tests for SQL fingerprinting and the LRU+TTL cache levels."""
+"""Tests for SQL fingerprinting and the LRU cache levels."""
 
 from __future__ import annotations
 
-from repro.service.cache import LRUTTLCache, ServiceCache
+from repro.service.cache import LRUCache, ServiceCache
 from repro.service.fingerprint import normalize_sql, request_cache_key, sql_fingerprint
 
 
@@ -31,7 +31,7 @@ def test_request_cache_key_varies_with_notes_and_k():
 
 # -------------------------------------------------------------------- LRU
 def test_lru_eviction_order():
-    cache = LRUTTLCache(capacity=2)
+    cache = LRUCache(capacity=2)
     cache.put("a", 1)
     cache.put("b", 2)
     assert cache.get("a") == 1  # refresh a
@@ -42,21 +42,8 @@ def test_lru_eviction_order():
     assert cache.stats.evictions == 1
 
 
-def test_ttl_expiry_with_fake_clock():
-    now = [0.0]
-    cache = LRUTTLCache(capacity=8, ttl_seconds=10.0, clock=lambda: now[0])
-    cache.put("a", "fresh")
-    assert cache.get("a") == "fresh"
-    now[0] = 9.9
-    assert cache.get("a") == "fresh"
-    now[0] = 10.1
-    assert cache.get("a") is None
-    assert cache.stats.expirations == 1
-    assert "a" not in cache
-
-
 def test_hit_miss_accounting_and_invalidate():
-    cache = LRUTTLCache(capacity=4)
+    cache = LRUCache(capacity=4)
     cache.put("k", 42)
     assert cache.get("k") == 42
     assert cache.get("unknown") is None
@@ -72,25 +59,27 @@ def test_hit_miss_accounting_and_invalidate():
 # ----------------------------------------------------------- service cache
 def test_kb_write_evicts_only_explanations():
     cache = ServiceCache()
-    cache.explanations.put("e1", "explanation")
-    cache.plans.put("p1", "plan")
+    levels = cache.level()
+    levels.explanations.put("e1", "explanation")
+    levels.plans.put("p1", "plan")
     cache.on_kb_write("add", "entry-1")
-    assert cache.explanations.get("e1") is None
-    assert cache.plans.get("p1") == "plan"
+    assert levels.explanations.get("e1") is None
+    assert levels.plans.get("p1") == "plan"
 
 
 def test_ddl_evicts_both_levels():
     cache = ServiceCache()
-    cache.explanations.put("e1", "explanation")
-    cache.plans.put("p1", "plan")
+    levels = cache.level()
+    levels.explanations.put("e1", "explanation")
+    levels.plans.put("p1", "plan")
     cache.on_ddl("create_index", "idx_customer_c_phone")
-    assert cache.explanations.get("e1") is None
-    assert cache.plans.get("p1") is None
+    assert levels.explanations.get("e1") is None
+    assert levels.plans.get("p1") is None
 
 
 def test_epoch_guard_refuses_stale_put_after_clear():
     """A put computed before an invalidation must not repopulate the cache."""
-    cache = LRUTTLCache(capacity=8)
+    cache = LRUCache(capacity=8)
     epoch = cache.epoch
     cache.clear()  # invalidation races the in-flight computation
     assert cache.put("k", "stale", epoch=epoch) is False
@@ -101,8 +90,8 @@ def test_epoch_guard_refuses_stale_put_after_clear():
 
 def test_snapshot_shape():
     cache = ServiceCache()
-    cache.plans.put("p", 1)
-    cache.plans.get("p")
+    cache.level().plans.put("p", 1)
+    cache.level().plans.get("p")
     snap = cache.snapshot()
     assert set(snap) == {"explanations", "plans"}
     assert snap["plans"]["hits"] == 1

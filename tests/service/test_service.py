@@ -7,7 +7,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 
-from repro.service import ExplanationService, RequestStatus, ServiceErrorCode
+from repro.service import ExplanationService, RequestStatus, ServiceConfig, ServiceErrorCode
 
 
 # ------------------------------------------------------------- happy paths
@@ -87,7 +87,8 @@ def test_plan_cache_skips_replanning_after_kb_write(service, service_stack):
 def test_queue_full_returns_typed_rejection(service_stack):
     system, router, kb, llm, sqls, _labeled = service_stack
     with ExplanationService(
-        system, router, kb, llm, max_workers=1, max_in_flight=1
+        system, router, kb, llm,
+        config=ServiceConfig(max_workers=1, max_in_flight=1),
     ) as service:
         futures = [service.submit(sqls[i % len(sqls)]) for i in range(12)]
         results = [future.result() for future in futures]
@@ -115,7 +116,10 @@ def test_shutdown_rejects_new_requests(service_stack):
 # ---------------------------------------------------------------- deadlines
 def test_expired_deadline_is_typed_failure(service_stack):
     system, router, kb, llm, sqls, _labeled = service_stack
-    with ExplanationService(system, router, kb, llm, max_workers=2) as service:
+    with ExplanationService(
+        system, router, kb, llm,
+        config=ServiceConfig(max_workers=2),
+    ) as service:
         result = service.explain(sqls[0], deadline_seconds=1e-9)
         assert result.status is RequestStatus.FAILED
         assert result.error.code is ServiceErrorCode.DEADLINE_EXCEEDED
@@ -138,7 +142,10 @@ def test_deadline_expiring_before_generation_is_typed_failure(service_stack):
 
     system.run_both = stalled_run_both
     llm.generate = counted_generate
-    with ExplanationService(system, router, kb, llm, max_workers=2) as service:
+    with ExplanationService(
+        system, router, kb, llm,
+        config=ServiceConfig(max_workers=2),
+    ) as service:
         result = service.explain(sqls[0], deadline_seconds=0.2)
         assert result.status is RequestStatus.FAILED
         assert result.error.code is ServiceErrorCode.DEADLINE_EXCEEDED
@@ -149,7 +156,7 @@ def test_deadline_expiring_before_generation_is_typed_failure(service_stack):
         assert snapshot["requests.deadline_exceeded"] == 1
         assert snapshot["requests.rejected.deadline_exceeded"] == 1
         assert snapshot["in_flight"] == 0
-        assert len(service.cache.explanations) == 0  # a failure is never cached
+        assert len(service.cache.level().explanations) == 0  # a failure is never cached
 
 
 def test_generous_deadline_succeeds(service, service_stack):

@@ -7,7 +7,7 @@ import queue
 import pytest
 
 from repro.explainer.pipeline import RagExplainer, entries_from_labeled, execution_result_text
-from repro.service import ExplanationService
+from repro.service import ExplanationService, ServiceConfig
 from repro.service.batching import WeightedFairQueue
 from repro.service.cache import ServiceCache
 from repro.service.fingerprint import request_cache_key, sql_fingerprint
@@ -141,16 +141,16 @@ def test_cache_levels_are_isolated_per_tenant():
     cache = ServiceCache()
     cache.level("a").explanations.put("key", "answer-a")
     cache.level("b").explanations.put("key", "answer-b")
-    cache.explanations.put("key", "answer-default")
+    cache.level(DEFAULT_TENANT).explanations.put("key", "answer-default")
     # Tenant A's KB write clears only tenant A's explanations.
     cache.on_kb_write("add", "entry-1", tenant="a")
     assert cache.level("a").explanations.get("key") is None
     assert cache.level("b").explanations.get("key") == "answer-b"
-    assert cache.explanations.get("key") == "answer-default"
+    assert cache.level(DEFAULT_TENANT).explanations.get("key") == "answer-default"
     # A shared-corpus (default-tenant) KB write clears every tenant's explanations.
     cache.on_kb_write("add", "entry-2")
     assert cache.level("b").explanations.get("key") is None
-    assert cache.explanations.get("key") is None
+    assert cache.level(DEFAULT_TENANT).explanations.get("key") is None
 
 
 def test_plan_cache_is_tenant_scoped_and_ddl_clears_all():
@@ -180,13 +180,12 @@ def test_cache_snapshot_uses_tenant_suffixed_keys():
 def test_service_quota_rejection_and_tenant_isolation(service_stack):
     system, router, knowledge_base, llm, sqls, _labeled = service_stack
     svc = ExplanationService(
-        system,
-        router,
-        knowledge_base,
-        llm,
-        max_workers=2,
-        max_in_flight=32,
-        tenants=(TenantConfig(name="tiny", requests_per_second=0.001, burst=2.0),),
+        system, router, knowledge_base, llm,
+        config=ServiceConfig(
+            max_workers=2,
+            max_in_flight=32,
+            tenants=(TenantConfig(name="tiny", requests_per_second=0.001, burst=2.0),),
+        ),
     )
     try:
         # Burst of 2, then typed QUOTA_EXCEEDED rejections (retryable).
@@ -233,7 +232,7 @@ def test_tenant_request_matches_inline_explainer(service_stack):
     kb.add_many(private, tenant="acme")
     private_ids = {entry.entry_id for entry in private[:2]}
     explainer = RagExplainer(system, router, kb, llm, top_k=2)
-    with ExplanationService(system, router, kb, llm, max_workers=2) as svc:
+    with ExplanationService(system, router, kb, llm, config=ServiceConfig(max_workers=2)) as svc:
         for tenant in (DEFAULT_TENANT, "acme", "zeta"):
             for sql in sqls[:5]:
                 served = svc.explain(sql, tenant=tenant)
