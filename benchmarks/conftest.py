@@ -1,12 +1,13 @@
 """Shared fixtures for the benchmark suite.
 
-Every benchmark reproduces one table or figure from the paper (the mapping
-is the per-experiment index in DESIGN.md).  They all share one
+Every E-numbered benchmark reproduces one table or figure from the paper;
+each module's docstring names its experiment id (E1-E12) and the paper's
+section or table, and S1 measures the serving layer.  They all share one
 :class:`~repro.bench.harness.ExperimentHarness` built at the paper's
 experimental scale (SF=100 statistics, 20-entry knowledge base, 200-query
-test set, K=2 retrieval).  Measured values are printed as aligned tables so
-``pytest benchmarks/ --benchmark-only`` output can be compared against
-EXPERIMENTS.md directly.
+test set, K=2 retrieval).  Measured values are printed as aligned tables,
+several with the paper's reported value in a ``paper`` column next to the
+``measured`` one.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 Building the experimental setup (HTAP system, labeled workloads, trained
 router, populated knowledge base, explainer) takes a few seconds; the
-harness builds it once and exposes one method per experiment id from
-DESIGN.md.  Benchmarks and examples share the cached default harness via
+harness builds it once and exposes one method per experiment id (E1-E12,
+named in the section comments below and in each ``benchmarks/`` module's
+docstring).  Benchmarks and examples share the cached default harness via
 :func:`get_default_harness`.
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any
 
-from repro.baselines.dbgpt import DBGPTExplainer
+from repro.baselines.dbgpt import BaselineExplanation, DBGPTExplainer
 from repro.baselines.norag import NoRagExplainer
 from repro.bench.stats import percentile
 from repro.explainer.evaluation import AccuracyReport, ExpertPanel, Grade
@@ -256,36 +257,15 @@ class ExperimentHarness:
         results["ours"] = self._comparison_row(sample, ours_explanations, ours_report)
 
         for name, baseline in (("dbgpt", dbgpt), ("norag", norag)):
-            explanations: list[Explanation] = []
-            for labeled in sample:
-                answer = baseline.explain_execution(labeled.execution)
-                explanations.append(self._baseline_as_explanation(labeled, answer))
-            report = self.panel.evaluate(sample, explanations)
-            results[name] = self._comparison_row(sample, explanations, report)
+            answers = [baseline.explain_execution(labeled.execution) for labeled in sample]
+            report = self.panel.evaluate(sample, answers)
+            results[name] = self._comparison_row(sample, answers, report)
         return results
-
-    def _baseline_as_explanation(self, labeled: LabeledQuery, answer) -> Explanation:
-        """Wrap a baseline answer in the Explanation shape the panel grades."""
-        prompt = PromptBuilder().build(
-            question=answer_question_stub(labeled),
-            knowledge=[],
-        )
-        return Explanation(
-            sql=labeled.sql,
-            text=answer.text,
-            faster_engine=answer.claimed_winner,
-            retrieved=[],
-            prompt=prompt,
-            response=_fake_response(answer),
-            latency=answer.latency,
-            embedding=self.router.embed_pair(labeled.execution.plan_pair),
-            claims=dict(answer.claims),
-        )
 
     @staticmethod
     def _comparison_row(
         sample: list[LabeledQuery],
-        explanations: list[Explanation],
+        explanations: list[Explanation] | list[BaselineExplanation],
         report: AccuracyReport,
     ) -> dict[str, float]:
         total = len(sample)
@@ -396,32 +376,6 @@ class ExperimentHarness:
     # ----------------------------------------------------------------- helpers
     def grade_counts(self, report: AccuracyReport) -> dict[str, int]:
         return {grade.value: report.count(grade) for grade in Grade}
-
-
-def answer_question_stub(labeled: LabeledQuery):
-    """Question attachment for wrapping baseline answers (grading only)."""
-    from repro.llm.prompts import QuestionAttachment
-
-    execution = labeled.execution
-    return QuestionAttachment(
-        sql=labeled.sql,
-        tp_plan=plan_to_dict(execution.plan_pair.tp_plan),
-        ap_plan=plan_to_dict(execution.plan_pair.ap_plan),
-        execution_result=None,
-        faster_engine=None,
-    )
-
-
-def _fake_response(answer):
-    from repro.llm.client import LLMResponse
-
-    return LLMResponse(
-        text=answer.text,
-        thinking_seconds=answer.latency.llm_thinking_seconds,
-        generation_seconds=answer.latency.llm_generation_seconds,
-        model_name="baseline",
-        claims=dict(answer.claims),
-    )
 
 
 @lru_cache(maxsize=1)

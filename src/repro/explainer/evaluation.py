@@ -118,7 +118,11 @@ class ExpertPanel:
 
     # ------------------------------------------------------------------ grade
     def grade(self, labeled: LabeledQuery, explanation: Explanation) -> GradedExplanation:
-        """Grade one explanation against its ground truth."""
+        """Grade one explanation against its ground truth.
+
+        Only ``text``, ``claims``, ``is_none_answer``, ``cited_factors`` and
+        ``faster_engine`` are read, so baseline answers are graded as they are.
+        """
         ground_truth = labeled.ground_truth
         if explanation.is_none_answer:
             return GradedExplanation(

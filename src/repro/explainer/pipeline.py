@@ -231,13 +231,7 @@ class RagExplainer:
             KnowledgeAttachment.from_entry(hit.entry, similarity=hit.similarity)
             for hit in retrieval.hits
         ]
-        question = QuestionAttachment(
-            sql=plan_pair.query.raw_sql,
-            tp_plan=plan_to_dict(plan_pair.tp_plan),
-            ap_plan=plan_to_dict(plan_pair.ap_plan),
-            execution_result=execution_result,
-            faster_engine=faster_engine,
-        )
+        question = QuestionAttachment.from_plan_pair(plan_pair, execution_result, faster_engine)
         prompt = self.prompt_builder.build(question, knowledge_attachments, user_notes=user_notes)
         request = LLMRequest(prompt=prompt.text, attachments=prompt.attachments())
         response = self.llm.generate_traced(request)

@@ -1,7 +1,7 @@
 """Query plan representation shared by the TP and AP engines."""
 
 from repro.htap.plan.nodes import NodeType, PlanNode
-from repro.htap.plan.serialize import plan_to_dict, plan_to_json, plan_from_dict
+from repro.htap.plan.serialize import plan_to_dict
 from repro.htap.plan.properties import PlanProperties, analyze_plan
 from repro.htap.plan.diff import PlanDiff, diff_plans
 
@@ -9,8 +9,6 @@ __all__ = [
     "NodeType",
     "PlanNode",
     "plan_to_dict",
-    "plan_to_json",
-    "plan_from_dict",
     "PlanProperties",
     "analyze_plan",
     "PlanDiff",

@@ -39,13 +39,6 @@ class NodeType(enum.Enum):
     PROJECT = "Project"
     EXCHANGE = "Exchange"
 
-    @classmethod
-    def from_display_name(cls, name: str) -> "NodeType":
-        for member in cls:
-            if member.value == name:
-                return member
-        raise ValueError(f"unknown plan node type {name!r}")
-
 
 #: Node types that implement a join.
 JOIN_NODE_TYPES = frozenset(

@@ -110,31 +110,3 @@ def analyze_plan(plan: PlanNode) -> PlanProperties:
         if "Storage" in node.extra and properties.storage_format == "unknown":
             properties.storage_format = node.extra["Storage"]
     return properties
-
-
-def compare_properties(tp: PlanProperties, ap: PlanProperties) -> dict[str, str]:
-    """Human-readable comparison of the two plans' properties.
-
-    Used by the un-grounded (no-RAG) reasoning path of the simulated LLM and
-    by the DBG-PT baseline, both of which reason directly from plan structure.
-    """
-    comparison: dict[str, str] = {}
-    comparison["join_methods"] = (
-        f"TP joins: {', '.join(tp.join_methods) or 'none'}; "
-        f"AP joins: {', '.join(ap.join_methods) or 'none'}"
-    )
-    comparison["index_usage"] = (
-        f"TP {'uses' if tp.uses_index else 'does not use'} indexes; "
-        f"AP {'uses' if ap.uses_index else 'does not use'} indexes"
-    )
-    comparison["scan_volume"] = (
-        f"TP scans ~{tp.total_scanned_rows:.0f} rows across {len(tp.scanned_tables)} tables; "
-        f"AP scans ~{ap.total_scanned_rows:.0f} rows across {len(ap.scanned_tables)} tables"
-    )
-    comparison["storage"] = f"TP storage: {tp.storage_format}; AP storage: {ap.storage_format}"
-    if tp.has_top_n or ap.has_top_n or tp.has_limit or ap.has_limit:
-        comparison["top_n"] = (
-            f"TP {'has' if (tp.has_top_n or tp.has_limit) else 'lacks'} a Top-N/limit operator; "
-            f"AP {'has' if (ap.has_top_n or ap.has_limit) else 'lacks'} one"
-        )
-    return comparison

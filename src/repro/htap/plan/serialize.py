@@ -2,17 +2,18 @@
 
 Table II of the paper shows plans as nested dictionaries with the keys
 ``'Node Type'``, ``'Total Cost'``, ``'Plan Rows'``, ``'Relation Name'`` and
-``'Plans'``.  This module converts :class:`~repro.htap.plan.nodes.PlanNode`
-trees to and from that format so that prompts, the knowledge base, and the
-benchmark that regenerates Table II all use the exact same representation.
+``'Plans'``.  This module renders :class:`~repro.htap.plan.nodes.PlanNode`
+trees in that format, so that the prompt text, the knowledge base's stored
+plan pairs, and the benchmark that regenerates Table II all use the exact
+same representation.  Nothing parses the format back into plans: code that
+reasons about a plan reads the :class:`PlanNode` tree itself.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
-from repro.htap.plan.nodes import NodeType, PlanNode
+from repro.htap.plan.nodes import PlanNode
 
 
 def plan_to_dict(plan: PlanNode, *, include_extra: bool = True) -> dict[str, Any]:
@@ -35,49 +36,3 @@ def plan_to_dict(plan: PlanNode, *, include_extra: bool = True) -> dict[str, Any
     if plan.children:
         node["Plans"] = [plan_to_dict(child, include_extra=include_extra) for child in plan.children]
     return node
-
-
-def plan_to_json(plan: PlanNode, *, indent: int | None = None) -> str:
-    """JSON rendering of :func:`plan_to_dict` (used in prompts and storage)."""
-    return json.dumps(plan_to_dict(plan), indent=indent)
-
-
-_KNOWN_KEYS = {
-    "Node Type",
-    "Total Cost",
-    "Plan Rows",
-    "Relation Name",
-    "Index Name",
-    "Filter",
-    "Output",
-    "Plans",
-}
-
-
-def plan_from_dict(data: dict[str, Any]) -> PlanNode:
-    """Rebuild a plan tree from the EXPLAIN dictionary format.
-
-    Unknown keys are preserved in ``extra`` so a round trip is lossless for
-    engine-specific annotations.
-    """
-    if "Node Type" not in data:
-        raise ValueError("plan dictionary is missing 'Node Type'")
-    extra = {key: value for key, value in data.items() if key not in _KNOWN_KEYS}
-    children = [plan_from_dict(child) for child in data.get("Plans", [])]
-    output = tuple(data.get("Output", ()))
-    return PlanNode(
-        node_type=NodeType.from_display_name(data["Node Type"]),
-        total_cost=float(data.get("Total Cost", 0.0)),
-        plan_rows=float(data.get("Plan Rows", 1.0)),
-        relation=data.get("Relation Name"),
-        index_name=data.get("Index Name"),
-        predicate=data.get("Filter"),
-        output_columns=output,
-        children=children,
-        extra={key: value for key, value in extra.items()},
-    )
-
-
-def plan_pair_to_dict(tp_plan: PlanNode, ap_plan: PlanNode) -> dict[str, Any]:
-    """Bundle a TP/AP plan pair the way the knowledge base stores plan details."""
-    return {"TP": plan_to_dict(tp_plan), "AP": plan_to_dict(ap_plan)}

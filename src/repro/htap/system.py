@@ -25,7 +25,6 @@ from repro.htap.engines.execution import ExecutionResult, ExecutionSimulator, Ha
 from repro.htap.engines.query_analysis import QueryAnalysis, analyze_query
 from repro.htap.engines.tp_optimizer import TPOptimizer
 from repro.htap.plan.nodes import PlanNode
-from repro.htap.plan.serialize import plan_to_dict
 from repro.htap.sql import ast, parse_query
 from repro.htap.statistics import StatisticsCatalog
 from repro.obs.tracing import get_tracer
@@ -38,13 +37,6 @@ class PlanPair:
     query: ast.Query
     tp_plan: PlanNode
     ap_plan: PlanNode
-
-    def plan_for(self, engine: EngineKind) -> PlanNode:
-        return self.tp_plan if engine is EngineKind.TP else self.ap_plan
-
-    def explain_dicts(self) -> dict[str, dict]:
-        """EXPLAIN output for both engines in the paper's Table II format."""
-        return {"TP": plan_to_dict(self.tp_plan), "AP": plan_to_dict(self.ap_plan)}
 
 
 @dataclass

@@ -18,6 +18,9 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.htap.engines.base import EngineKind
+from repro.htap.plan.nodes import PlanNode
+from repro.htap.plan.serialize import plan_to_dict
+from repro.htap.system import PlanPair
 from repro.knowledge.entry import KnowledgeEntry
 
 BACKGROUND_TEMPLATE = (
@@ -83,13 +86,32 @@ class KnowledgeAttachment:
 
 @dataclass
 class QuestionAttachment:
-    """Structured form of the QUESTION block."""
+    """Structured form of the QUESTION block.
+
+    The plans are the engines' :class:`PlanNode` trees; they are rendered as
+    EXPLAIN JSON only in the prompt text (:meth:`PromptBuilder.question_section`).
+    """
 
     sql: str
-    tp_plan: dict[str, Any]
-    ap_plan: dict[str, Any]
+    tp_plan: PlanNode
+    ap_plan: PlanNode
     execution_result: str | None
     faster_engine: EngineKind | None
+
+    @classmethod
+    def from_plan_pair(
+        cls,
+        plan_pair: PlanPair,
+        execution_result: str | None = None,
+        faster_engine: EngineKind | None = None,
+    ) -> "QuestionAttachment":
+        return cls(
+            sql=plan_pair.query.raw_sql,
+            tp_plan=plan_pair.tp_plan,
+            ap_plan=plan_pair.ap_plan,
+            execution_result=execution_result,
+            faster_engine=faster_engine,
+        )
 
 
 @dataclass
@@ -172,8 +194,8 @@ class PromptBuilder:
         return (
             "QUESTION:\n"
             f"New query: {question.sql}\n"
-            f"New TP plan: {json.dumps(question.tp_plan)}\n"
-            f"New AP plan: {json.dumps(question.ap_plan)}\n"
+            f"New TP plan: {json.dumps(plan_to_dict(question.tp_plan))}\n"
+            f"New AP plan: {json.dumps(plan_to_dict(question.ap_plan))}\n"
             f"{result_line}"
         )
 

@@ -26,7 +26,7 @@ from repro.llm.client import NONE_ANSWER, LLMClient, LLMRequest, LLMResponse
 from repro.llm.prompts import KnowledgeAttachment, QuestionAttachment
 from repro.llm.reasoning import (
     StructuralSignals,
-    extract_signals_with_costs,
+    extract_signals,
     factor_applies,
     hypothesize_factors,
 )
@@ -177,7 +177,7 @@ class SimulatedLLM(LLMClient):
             )
             return self._response(text, rng, knowledge_count=0, claims={"is_none": False})
 
-        signals = extract_signals_with_costs(question.sql, question.tp_plan, question.ap_plan)
+        signals = extract_signals(question.sql, question.tp_plan, question.ap_plan)
         if knowledge:
             text, claims = self._grounded_answer(question, knowledge, signals, rng, request.temperature)
         else:

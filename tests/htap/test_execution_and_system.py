@@ -4,6 +4,7 @@ import pytest
 
 from repro.htap.engines.base import EngineKind
 from repro.htap.engines.execution import ExecutionSimulator, HardwareProfile, LatencyBreakdown
+from repro.htap.plan.serialize import plan_to_dict
 from repro.htap.system import HTAPSystem
 
 
@@ -103,11 +104,8 @@ def test_scale_factor_changes_latency(example1_sql):
 # ------------------------------------------------------------- HTAPSystem
 def test_explain_pair_returns_both_plans(system, example1_sql):
     pair = system.explain_pair(example1_sql)
-    explained = pair.explain_dicts()
-    assert explained["TP"]["Node Type"] == "Group aggregate"
-    assert explained["AP"]["Node Type"] == "Aggregate"
-    assert pair.plan_for(EngineKind.TP) is pair.tp_plan
-    assert pair.plan_for(EngineKind.AP) is pair.ap_plan
+    assert plan_to_dict(pair.tp_plan)["Node Type"] == "Group aggregate"
+    assert plan_to_dict(pair.ap_plan)["Node Type"] == "Aggregate"
 
 
 def test_execution_summary_mentions_both_latencies(system, example1_sql):

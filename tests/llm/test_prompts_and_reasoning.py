@@ -1,24 +1,19 @@
 """Tests for prompt assembly (Table I) and structural plan reasoning."""
 
+import json
+
 import numpy as np
 
 from repro.htap.engines.base import EngineKind
 from repro.htap.plan.serialize import plan_to_dict
 from repro.knowledge.entry import KnowledgeEntry
 from repro.llm.prompts import KnowledgeAttachment, PromptBuilder, QuestionAttachment
-from repro.llm.reasoning import extract_signals, extract_signals_with_costs, factor_applies, hypothesize_factors
+from repro.llm.reasoning import extract_signals, factor_applies, hypothesize_factors
 from repro.workloads.labeling import ExplanationFactor
 
 
 def _question(system, sql, execution=None) -> QuestionAttachment:
-    pair = system.explain_pair(sql)
-    return QuestionAttachment(
-        sql=sql,
-        tp_plan=plan_to_dict(pair.tp_plan),
-        ap_plan=plan_to_dict(pair.ap_plan),
-        execution_result=None if execution is None else execution,
-        faster_engine=None,
-    )
+    return QuestionAttachment.from_plan_pair(system.explain_pair(sql), execution)
 
 
 # ----------------------------------------------------------------- prompts
@@ -36,7 +31,8 @@ def test_table_i_sections_follow_paper(system):
 
 def test_prompt_contains_knowledge_and_question(system, example1_sql):
     builder = PromptBuilder()
-    question = _question(system, example1_sql, execution="AP was faster")
+    pair = system.explain_pair(example1_sql)
+    question = QuestionAttachment.from_plan_pair(pair, "AP was faster")
     entry = KnowledgeEntry(
         entry_id="k1",
         embedding=np.zeros(4),
@@ -53,6 +49,9 @@ def test_prompt_contains_knowledge_and_question(system, example1_sql):
     assert "KNOWLEDGE 1:" in payload.text
     assert "Historical expert explanation: AP is faster because of hash joins." in payload.text
     assert "QUESTION:" in payload.text
+    question_block = payload.text[payload.text.index("QUESTION:"):]
+    assert "New TP plan: " + json.dumps(plan_to_dict(pair.tp_plan)) in question_block
+    assert "New AP plan: " + json.dumps(plan_to_dict(pair.ap_plan)) in question_block
     assert "New execution result: AP was faster" in payload.text
     assert "Additional user context: An index exists on c_phone." in payload.text
     attachments = payload.attachments()
@@ -87,7 +86,9 @@ def test_signals_for_example1(system, example1_sql):
 
 def test_signals_with_costs_exposes_root_costs(system, example1_sql):
     question = _question(system, example1_sql)
-    signals = extract_signals_with_costs(example1_sql, question.tp_plan, question.ap_plan)
+    signals = extract_signals(example1_sql, question.tp_plan, question.ap_plan)
+    assert signals.tp_total_cost == question.tp_plan.total_cost
+    assert signals.ap_total_cost == question.ap_plan.total_cost
     assert signals.ap_total_cost > signals.tp_total_cost > 0
 
 

@@ -3,22 +3,14 @@
 import pytest
 
 from repro.htap.engines.base import EngineKind
-from repro.htap.plan.serialize import plan_to_dict
 from repro.llm.client import LLMRequest, NONE_ANSWER
 from repro.llm.prompts import KnowledgeAttachment, PromptBuilder, QuestionAttachment
 from repro.llm.simulated import SimulatedLLM
 
 
 def _question(system, sql, faster=None) -> QuestionAttachment:
-    pair = system.explain_pair(sql)
     result_text = None if faster is None else f"{faster.value} was faster"
-    return QuestionAttachment(
-        sql=sql,
-        tp_plan=plan_to_dict(pair.tp_plan),
-        ap_plan=plan_to_dict(pair.ap_plan),
-        execution_result=result_text,
-        faster_engine=faster,
-    )
+    return QuestionAttachment.from_plan_pair(system.explain_pair(sql), result_text, faster)
 
 
 def _knowledge(sql="SELECT COUNT(*) FROM orders, customer WHERE o_custkey = c_custkey;",

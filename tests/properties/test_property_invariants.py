@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.htap.plan.nodes import NodeType, PlanNode
-from repro.htap.plan.serialize import plan_from_dict, plan_to_dict
+from repro.htap.plan.serialize import plan_to_dict
 from repro.htap.sql import ast
 from repro.htap.sql.parser import parse_query
 from repro.htap.statistics import StatisticsCatalog
@@ -74,7 +74,7 @@ def test_hnsw_returns_valid_keys_and_sorted_distances(count, seed):
     assert all(result.key.startswith("v") for result in results)
 
 
-# ------------------------------------------------------------ plan roundtrip
+# ------------------------------------------------------- plan EXPLAIN dict
 _node_types = st.sampled_from(
     [NodeType.TABLE_SCAN, NodeType.FILTER, NodeType.HASH_JOIN, NodeType.NESTED_LOOP_JOIN, NodeType.SORT]
 )
@@ -101,13 +101,21 @@ def _plans(depth: int = 3):
     )
 
 
+def _dict_walk(node: dict):
+    yield node
+    for child in node.get("Plans", []):
+        yield from _dict_walk(child)
+
+
 @settings(max_examples=50, deadline=None)
 @given(_plans())
-def test_plan_serialisation_roundtrip_preserves_structure(plan):
-    rebuilt = plan_from_dict(plan_to_dict(plan))
-    assert rebuilt.structural_signature() == plan.structural_signature()
-    assert rebuilt.node_count() == plan.node_count()
-    assert rebuilt.depth() == plan.depth()
+def test_explain_dict_mirrors_plan_tree(plan):
+    nodes = list(_dict_walk(plan_to_dict(plan)))
+    assert [node["Node Type"] for node in nodes] == [node.node_type.value for node in plan.walk()]
+    for rendered, node in zip(nodes, plan.walk()):
+        assert rendered["Total Cost"] == round(node.total_cost, 2)
+        assert rendered["Plan Rows"] == round(node.plan_rows)
+        assert rendered.get("Relation Name") == node.relation
 
 
 # ----------------------------------------------------------------- parser

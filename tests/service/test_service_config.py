@@ -57,12 +57,15 @@ def test_get_plan_respects_epoch_guard():
 
 
 # ------------------------------------------------- cache-temperature oracle
+@pytest.mark.parametrize("temperature", ["l1", "l2"])
 @pytest.mark.parametrize("tenant", [DEFAULT_TENANT, "acme"])
-def test_l2_hit_answer_equals_cold_answer(service_stack, tenant):
-    """An answer served through an L2 (plan + embedding) hit equals the one a
-    fresh service computes cold for the same SQL and notes: retrieved ids in
-    order, prompt, text and claims.  Cache temperature must not change what
-    the LLM is asked or what it answers."""
+def test_warm_answer_equals_cold_answer(service_stack, tenant, temperature):
+    """An answer served warm equals the one a fresh service computes cold for
+    the same SQL and notes: retrieved ids in order, prompt, text and claims.
+    ``l1`` serves the same SQL and notes twice, so the second answer is an
+    explanation-cache hit; ``l2`` changes the notes, so only the plan and
+    embedding are reused.  Cache temperature must not change what the LLM is
+    asked or what it answers."""
     system, router, kb, llm, sqls, labeled = service_stack
     private_ids: set[str] = set()
     if tenant != DEFAULT_TENANT:
@@ -71,12 +74,16 @@ def test_l2_hit_answer_equals_cold_answer(service_stack, tenant):
         kb.add_many(private, tenant=tenant)
         private_ids = {entry.entry_id for entry in private}
     config = ServiceConfig(max_workers=2)
+    first_notes = "second" if temperature == "l1" else "first"
     warm_answers = []
     with ExplanationService(system, router, kb, llm, config=config) as warm:
         for sql in sqls:
-            assert warm.explain(sql, user_notes="first", tenant=tenant).ok
+            assert warm.explain(sql, user_notes=first_notes, tenant=tenant).ok
             served = warm.explain(sql, user_notes="second", tenant=tenant)
-            assert served.ok and served.plan_cache_hit and not served.cache_hit
+            if temperature == "l1":
+                assert served.ok and served.cache_hit
+            else:
+                assert served.ok and served.plan_cache_hit and not served.cache_hit
             warm_answers.append(served.explanation)
     with ExplanationService(system, router, kb, llm, config=config) as fresh:
         for sql, got in zip(sqls, warm_answers):

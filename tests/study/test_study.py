@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.htap.plan.serialize import plan_to_dict
 from repro.study.participants import Participant, ParticipantPool
 from repro.study.protocol import ParticipantStudy, StudyMaterials
 
@@ -14,8 +15,8 @@ def materials(system, example1_sql, rag_explainer):
     explanation = rag_explainer.explain_sql(example1_sql)
     return StudyMaterials.from_dicts(
         sql=example1_sql,
-        tp_plan=pair.explain_dicts()["TP"],
-        ap_plan=pair.explain_dicts()["AP"],
+        tp_plan=plan_to_dict(pair.tp_plan),
+        ap_plan=plan_to_dict(pair.ap_plan),
         explanation_text=explanation.text,
     )
 
